@@ -1,13 +1,13 @@
 // Package errdrop forbids discarding or silently overwriting error
 // results in library packages.
 //
-// The resilience path (PR 5) turns oracle faults into CostErr values
-// that retry/degrade machinery must inspect; an error assigned to `_`,
-// a call whose error result is ignored as a bare statement, or an err
-// variable overwritten before anything read it re-opens exactly the
-// silent-failure hole that layer closed. The check is type-driven (any
-// error-typed result counts, so CostErr oracles and stdlib writers are
-// covered alike) and uses the flow call graph's signatures to judge
+// The resilience path turns oracle faults into error values that the
+// retry/degrade machinery and the samplers must inspect; an error
+// assigned to `_`, a call whose error result is ignored as a bare
+// statement, or an err variable overwritten before anything read it
+// re-opens exactly the silent-failure hole that layer closed. The check
+// is type-driven (any error-typed result counts, from oracle helpers to
+// stdlib writers) and uses the flow call graph's signatures to judge
 // callees across package boundaries. Deliberate discards carry a
 // justification:
 //

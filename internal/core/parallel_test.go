@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"physdes/internal/catalog"
+	"physdes/internal/faultinject"
+	"physdes/internal/obs"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
+	"physdes/internal/resilience"
 	"physdes/internal/sampling"
 	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
@@ -40,7 +43,10 @@ func crmScenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer,
 // to the serial run — same Best, same Pr(CS) down to the last float bit,
 // same call accounting, strata, splits, eliminations and Pr(CS) trace —
 // across both sampling schemes, both stratification modes of interest, and
-// both workloads.
+// both workloads. It must hold with and without atom sharing, retries,
+// injected faults, degradation and warm state too: there the resilience
+// counters (OracleRetries, OracleFaults, DegradedQueries) must match as
+// well, and the memo layers must never cost a key twice.
 func TestSelectParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -106,6 +112,78 @@ func TestSelectParallelDeterminism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(parallel, serial) {
 					t.Errorf("Selection not bit-identical:\nparallel: %+v\nserial:   %+v", parallel, serial)
+				}
+			})
+		}
+	}
+
+	opt, w, space := scenario(t, 600, 6, 3)
+	faulty := func(fo faultinject.Options) func(sampling.Oracle) sampling.Oracle {
+		return func(inner sampling.Oracle) sampling.Oracle { return faultinject.New(inner, fo) }
+	}
+	resCases := []struct {
+		name    string
+		scheme  sampling.Scheme
+		faulted bool
+		apply   func(o *Options)
+	}{
+		{"none", sampling.Delta, false, func(o *Options) {}},
+		{"retries/zero-faults", sampling.Delta, false, func(o *Options) {
+			o.MaxRetries, o.Degrade = 3, resilience.Skip
+			o.WrapOracle = faulty(faultinject.Options{Seed: 33})
+		}},
+		{"transient/skip", sampling.Delta, true, func(o *Options) {
+			o.MaxRetries, o.Degrade = 2, resilience.Skip
+			o.WrapOracle = faulty(faultinject.Options{Seed: 17, TransientRate: 0.05})
+		}},
+		{"transient/skip/independent", sampling.Independent, true, func(o *Options) {
+			o.MaxRetries, o.Degrade = 2, resilience.Skip
+			o.WrapOracle = faulty(faultinject.Options{Seed: 17, TransientRate: 0.05})
+		}},
+		{"conservative-degrade", sampling.Delta, true, func(o *Options) {
+			o.Conservative, o.MaxRetries, o.Degrade = true, 1, resilience.Conservative
+			o.WrapOracle = faulty(faultinject.Options{Seed: 23, TransientRate: 0.05, PermanentRate: 0.01})
+		}},
+		{"warm", sampling.Delta, false, nil}, // WarmState from a prior run, set below
+	}
+	for _, sharing := range []AtomSharingMode{AtomSharingEnabled, AtomSharingDisabled} {
+		sharingName := map[AtomSharingMode]string{AtomSharingEnabled: "atoms", AtomSharingDisabled: "direct"}[sharing]
+		for _, rc := range resCases {
+			t.Run("tpcd/"+sharingName+"/"+rc.name, func(t *testing.T) {
+				base := Options{Scheme: rc.scheme, Strat: sampling.Progressive, Seed: 11,
+					TracePrCS: true, AtomSharing: sharing}
+				if rc.apply != nil {
+					rc.apply(&base)
+				} else {
+					prior := base
+					prior.Seed, prior.CaptureState, prior.Parallelism = 12, true, 1
+					sel, err := Select(opt, w, space, prior)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base.WarmState = sel.State
+				}
+				run := func(par int) *Selection {
+					o := base
+					o.Parallelism = par
+					o.Metrics = obs.NewRegistry()
+					sel, err := Select(opt, w, space, o)
+					if err != nil {
+						t.Fatalf("parallelism %d: %v", par, err)
+					}
+					if dups := o.Metrics.Snapshot().Counters["optimizer_duplicate_computations_total"]; dups != 0 {
+						t.Errorf("parallelism %d: optimizer_duplicate_computations_total = %d, want 0", par, dups)
+					}
+					return sel
+				}
+				serial := run(1)
+				if rc.faulted && serial.OracleFaults == 0 {
+					t.Errorf("fault injection inert: %+v", serial)
+				}
+				for _, par := range []int{4, 8} {
+					if got := run(par); !reflect.DeepEqual(got, serial) {
+						t.Errorf("parallelism %d: Selection not bit-identical to serial\ngot:    %+v\nserial: %+v", par, got, serial)
+					}
 				}
 			})
 		}

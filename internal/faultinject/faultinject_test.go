@@ -226,8 +226,14 @@ func TestBurstFaultsAreLocalized(t *testing.T) {
 	m, _ := synthMatrix(400, 2, 4, 0.05, 41)
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 13, BurstLo: 100, BurstHi: 150, BurstRate: 1})
 	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip, Seed: 13})
-	for i := 0; i < 400; i++ {
-		_, err := w.CostErr(i, 0)
+	pairs := make([]sampling.Pair, 400)
+	for i := range pairs {
+		pairs[i] = sampling.Pair{Q: i, J: 0}
+	}
+	out := make([]float64, len(pairs))
+	errs := make([]error, len(pairs))
+	w.BatchCostErr(pairs, out, errs, 4)
+	for i, err := range errs {
 		inBurst := i >= 100 && i < 150
 		if inBurst && !errors.Is(err, sampling.ErrSkipQuery) {
 			t.Fatalf("query %d in burst range: err = %v, want ErrSkipQuery", i, err)
@@ -281,6 +287,12 @@ func (o *cancellingOracle) Cost(i, j int) float64 {
 		o.cancel()
 	}
 	return o.MatrixOracle.Cost(i, j)
+}
+
+func (o *cancellingOracle) BatchCost(pairs []sampling.Pair, out []float64, parallelism int) {
+	for i, p := range pairs {
+		out[i] = o.Cost(p.Q, p.J)
+	}
 }
 
 // Cancellation mid-run must surface context.Canceled and leave no

@@ -195,9 +195,9 @@ func tablesSubset(sub, super []string) bool {
 // consulted by the Cached layer before any direct costing. It reuses the
 // memo cache's key scheme (statement pointer identity + configuration
 // fingerprint) and 64-way sharding, so batch-pool workers contend on
-// per-shard locks only. Like the memo cache, two racing misses on the
-// same atom may both consult the inner optimizer; the cost model is pure,
-// so both compute the same value and the duplicate store is harmless.
+// per-shard locks only. As in the memo cache, a store that finds its atom
+// already present means the atom was costed twice and charged twice; it is
+// counted on optimizer_duplicate_computations_total, which must stay 0.
 type AtomicCache struct {
 	inner    *Optimizer
 	maxWidth int
@@ -221,6 +221,7 @@ type AtomicCache struct {
 type atomMetrics struct {
 	hits    *obs.Counter
 	atoms   *obs.Counter
+	dups    *obs.Counter
 	latency *obs.Histogram
 }
 
@@ -239,7 +240,8 @@ func NewAtomicCache(inner *Optimizer, maxWidth int) *AtomicCache {
 
 // SetMetrics exports the atom store's accounting on the registry:
 // optimizer_atom_hits_total (reassemblies served from the store),
-// optimizer_atoms_total (distinct (statement, atom) costings paid), and
+// optimizer_atoms_total (distinct (statement, atom) costings paid),
+// optimizer_duplicate_computations_total (atoms costed twice), and
 // the optimizer_atom_cost_seconds histogram (time spent costing atoms —
 // per atom on the serial path, per dispatched batch on the batch path).
 // Passing nil detaches.
@@ -251,6 +253,7 @@ func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
 	ac.metrics.Store(&atomMetrics{
 		hits:    r.Counter("optimizer_atom_hits_total"),
 		atoms:   r.Counter("optimizer_atoms_total"),
+		dups:    r.Counter("optimizer_duplicate_computations_total"),
 		latency: r.Histogram("optimizer_atom_cost_seconds"),
 	})
 }
@@ -321,11 +324,15 @@ func (ac *AtomicCache) lookup(key cacheKey) (float64, bool) {
 func (ac *AtomicCache) store(key cacheKey, v float64) {
 	sh := &ac.shards[shardIndex(key)]
 	sh.mu.Lock()
-	if _, dup := sh.table[key]; !dup {
+	_, dup := sh.table[key]
+	if !dup {
 		sh.table[key] = v
 		ac.entries.Add(1)
 	}
 	sh.mu.Unlock()
+	if m := ac.metrics.Load(); dup && m != nil {
+		m.dups.Inc()
+	}
 }
 
 // atomCost returns the memoized cost of one (statement, atom) pair,

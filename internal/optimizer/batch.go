@@ -195,13 +195,7 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 		return err
 	}
 	for u, key := range uniqKeys {
-		sh := &c.shards[shardIndex(key)]
-		sh.mu.Lock()
-		if _, dup := sh.table[key]; !dup {
-			sh.table[key] = vals[u]
-			c.entries.Add(1)
-		}
-		sh.mu.Unlock()
+		c.store(&c.shards[shardIndex(key)], key, vals[u], m)
 	}
 	if m != nil {
 		m.entries.Set(float64(c.entries.Load()))

@@ -26,9 +26,11 @@ import (
 //
 // The memo table is sharded so batch-pool workers hammering the cache
 // concurrently contend on per-shard locks instead of one global RWMutex.
-// Two racing misses on the same key may both consult the inner optimizer
-// (each charged as a call); the cost model is a pure function, so both
-// compute the same value and the duplicate store is harmless.
+// Two racing misses on the same key would both consult the inner optimizer
+// (each charged as a call), making call totals depend on scheduling. The
+// deduplicating batch path never races with itself, so such a duplicate
+// computation means some caller bypassed it; the store counts each one on
+// optimizer_duplicate_computations_total, an invariant that must stay 0.
 type Cached struct {
 	inner *Optimizer
 
@@ -60,6 +62,7 @@ type cacheShard struct {
 type cacheMetrics struct {
 	hits    *obs.Counter
 	misses  *obs.Counter
+	dups    *obs.Counter
 	entries *obs.Gauge
 }
 
@@ -117,9 +120,10 @@ func NewCachedAtomic(inner *Optimizer) *Cached {
 func (c *Cached) Atoms() *AtomicCache { return c.atoms }
 
 // SetMetrics exports the cache's hit/miss accounting on the registry:
-// optimizer_cache_hits_total, optimizer_cache_misses_total and the
-// optimizer_cache_entries gauge. When atom sharing is enabled the atom
-// store's metrics are attached too. Passing nil detaches.
+// optimizer_cache_hits_total, optimizer_cache_misses_total, the
+// optimizer_cache_entries gauge and the
+// optimizer_duplicate_computations_total invariant. When atom sharing is
+// enabled the atom store's metrics are attached too. Passing nil detaches.
 func (c *Cached) SetMetrics(r *obs.Registry) {
 	if c.atoms != nil {
 		c.atoms.SetMetrics(r)
@@ -131,6 +135,7 @@ func (c *Cached) SetMetrics(r *obs.Registry) {
 	c.metrics.Store(&cacheMetrics{
 		hits:    r.Counter("optimizer_cache_hits_total"),
 		misses:  r.Counter("optimizer_cache_misses_total"),
+		dups:    r.Counter("optimizer_duplicate_computations_total"),
 		entries: r.Gauge("optimizer_cache_entries"),
 	})
 }
@@ -160,16 +165,27 @@ func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
 	} else {
 		v = c.inner.Cost(a, cfg)
 	}
-	sh.mu.Lock()
-	if _, dup := sh.table[key]; !dup {
-		sh.table[key] = v
-		c.entries.Add(1)
-	}
-	sh.mu.Unlock()
+	c.store(sh, key, v, m)
 	if m != nil {
 		m.entries.Set(float64(c.entries.Load()))
 	}
 	return v
+}
+
+// store memoizes a computed miss in its shard sh; finding the key already
+// present means it was computed twice (see
+// optimizer_duplicate_computations_total).
+func (c *Cached) store(sh *cacheShard, key cacheKey, v float64, m *cacheMetrics) {
+	sh.mu.Lock()
+	_, dup := sh.table[key]
+	if !dup {
+		sh.table[key] = v
+		c.entries.Add(1)
+	}
+	sh.mu.Unlock()
+	if dup && m != nil {
+		m.dups.Inc()
+	}
 }
 
 // Stats reports the cache's accounting in one call: hits, misses and the

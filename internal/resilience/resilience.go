@@ -15,12 +15,13 @@
 //     cost of the affected configuration and Pr(CS) remains a valid lower
 //     bound (the same argument as Section 6.2's σ²_max substitution).
 //
-// Everything is deterministic by construction: backoff jitter derives from
-// a seeded hash of (query, configuration, attempt) — never from wall-clock
-// time — and the optional per-call latency budget compares *virtual*
-// latencies reported by the inner oracle (see TimedOracle) against a
-// virtual budget. Decisions are therefore order-independent and identical
-// at every parallelism level.
+// The wrapper maps batch to batch: it evaluates the whole batch once
+// through its inner oracle, retries only the failed slots as sub-batches
+// in slot order, then degrades what is left in slot order. Backoff jitter
+// derives from a seeded hash of (query, configuration, attempt) — never
+// from wall-clock time — so every decision, the call accounting and the
+// probe on which the error budget runs out are identical at every
+// parallelism level.
 package resilience
 
 import (
@@ -29,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"physdes/internal/obs"
-	"physdes/internal/par"
 	"physdes/internal/sampling"
 )
 
@@ -65,11 +65,6 @@ func (p Policy) String() string {
 // instead of degrading silently.
 var ErrBudgetExhausted = errors.New("resilience: oracle error budget exhausted")
 
-// ErrCallTimeout marks a probe whose virtual latency exceeded the per-call
-// budget (Options.CallBudgetMS). It is transient: the wrapper retries it
-// like any other fault.
-var ErrCallTimeout = errors.New("resilience: what-if call exceeded per-call budget")
-
 // permanentError marks an error as not worth retrying.
 type permanentError struct{ err error }
 
@@ -93,17 +88,6 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// TimedOracle is an ErrOracle whose probes report a virtual latency (in
-// virtual milliseconds) alongside the cost. The wrapper uses it — never
-// the wall clock — to enforce Options.CallBudgetMS, keeping latency
-// enforcement deterministic and replayable. The fault-injection harness
-// implements it to simulate latency spikes.
-type TimedOracle interface {
-	sampling.ErrOracle
-	// CostTimed returns the cost and the virtual latency of the probe.
-	CostTimed(i, j int) (cost, latencyMS float64, err error)
-}
-
 // Options configures the resilience wrapper.
 type Options struct {
 	// MaxRetries is the number of re-attempts after a failed probe
@@ -124,10 +108,6 @@ type Options struct {
 	// exceeded, further failures return ErrBudgetExhausted. <= 0 means
 	// unlimited.
 	ErrorBudget int
-	// CallBudgetMS, when > 0 and the inner oracle implements TimedOracle,
-	// rejects probes whose virtual latency exceeds the budget with
-	// ErrCallTimeout (then retried like any transient fault).
-	CallBudgetMS float64
 	// Fallback supplies the conservative substitute cost for policy
 	// Conservative; required in that mode.
 	Fallback func(i, j int) float64
@@ -137,8 +117,7 @@ type Options struct {
 	// deterministic.
 	Sleep func(ms float64)
 	// Metrics, when non-nil, registers oracle_retries_total,
-	// oracle_faults_total, oracle_degraded_queries_total and — when the
-	// inner oracle reports virtual latencies — oracle_latency_seconds.
+	// oracle_faults_total and oracle_degraded_queries_total.
 	Metrics *obs.Registry
 }
 
@@ -166,20 +145,17 @@ type Stats struct {
 	BackoffMS float64
 }
 
-// Oracle wraps a fallible oracle with retries, an error budget and a
-// degradation policy. It implements sampling.ErrOracle and
-// sampling.BatchErrOracle; per-probe decisions depend only on
-// (query, configuration, attempt) so results are identical at every
-// parallelism level.
+// Oracle wraps an oracle with retries, an error budget and a degradation
+// policy. It implements sampling.ErrOracle; per-probe decisions depend only
+// on (query, configuration, attempt) and slot order, so results are
+// identical at every parallelism level.
 type Oracle struct {
-	inner sampling.ErrOracle
-	timed TimedOracle
+	inner sampling.Oracle
 	opts  Options
 
 	retries  *obs.Counter
 	faults   *obs.Counter
 	degraded *obs.Counter
-	latency  *obs.Histogram
 
 	nRetries   atomic.Int64
 	nFaults    atomic.Int64
@@ -188,24 +164,18 @@ type Oracle struct {
 	backoffUMS atomic.Int64 // total backoff in virtual microseconds
 }
 
-// Wrap hardens o with opts. Infallible oracles are lifted via
-// sampling.AsErrOracle first, so wrapping them is free of behaviour
-// change: their probes never fail and the wrapper adds one type assertion
-// per call.
+// Wrap hardens o with opts. An infallible inner oracle never fails, so
+// wrapping it changes no value and no call count.
 func Wrap(o sampling.Oracle, opts Options) *Oracle {
 	opts = opts.withDefaults()
 	if opts.Policy == Conservative && opts.Fallback == nil {
 		panic("resilience: policy Conservative requires Options.Fallback")
 	}
-	w := &Oracle{inner: sampling.AsErrOracle(o), opts: opts}
-	w.timed, _ = o.(TimedOracle)
+	w := &Oracle{inner: o, opts: opts}
 	if opts.Metrics != nil {
 		w.retries = opts.Metrics.Counter("oracle_retries_total")
 		w.faults = opts.Metrics.Counter("oracle_faults_total")
 		w.degraded = opts.Metrics.Counter("oracle_degraded_queries_total")
-		if w.timed != nil {
-			w.latency = opts.Metrics.Histogram("oracle_latency_seconds")
-		}
 	}
 	return w
 }
@@ -232,62 +202,62 @@ func (w *Oracle) K() int { return w.inner.K() }
 func (w *Oracle) Calls() int64 { return w.inner.Calls() }
 
 // Cost implements sampling.Oracle by delegating to the inner oracle
-// directly, bypassing retries and degradation: the samplers always prefer
-// CostErr when it is available, so Cost exists only to satisfy consumers
-// of the infallible interface.
+// directly, bypassing retries and degradation: the samplers always take
+// BatchCostErr, so Cost exists only to satisfy consumers of the
+// infallible interface.
 func (w *Oracle) Cost(i, j int) float64 { return w.inner.Cost(i, j) }
 
-// probe performs a single attempt, enforcing the virtual call budget when
-// the inner oracle reports latencies.
-func (w *Oracle) probe(i, j int) (float64, error) {
-	if w.timed != nil && (w.opts.CallBudgetMS > 0 || w.latency != nil) {
-		c, lat, err := w.timed.CostTimed(i, j)
-		if err == nil {
-			// Observe the virtual latency of successful probes before budget
-			// enforcement, so over-budget calls still show up in the tail.
-			w.latency.Observe(lat / 1000)
-			if w.opts.CallBudgetMS > 0 && lat > w.opts.CallBudgetMS {
-				return 0, fmt.Errorf("probe (%d,%d) took %.1fms of %.1fms: %w",
-					i, j, lat, w.opts.CallBudgetMS, ErrCallTimeout)
+// BatchCostErr implements sampling.ErrOracle. The whole batch is
+// evaluated once through the inner oracle; each retry round re-evaluates
+// only the slots that failed with a retryable error, as one sub-batch in
+// slot order after their seeded backoff; whatever still fails is then
+// degraded per the policy in slot order, so the error budget always runs
+// out on the same probe.
+func (w *Oracle) BatchCostErr(pairs []sampling.Pair, out []float64, errs []error, parallelism int) {
+	sampling.Eval(w.inner, pairs, out, errs, parallelism)
+	var retry []int // slots of pairs still worth another attempt
+	for s, err := range errs[:len(pairs)] {
+		if err != nil {
+			w.fault()
+			if !IsPermanent(err) {
+				retry = append(retry, s)
 			}
 		}
-		return c, err
 	}
-	return w.inner.CostErr(i, j)
-}
-
-// CostErr implements sampling.ErrOracle: attempt the probe up to
-// 1+MaxRetries times with seeded backoff, then degrade per the policy.
-func (w *Oracle) CostErr(i, j int) (float64, error) {
-	var last error
-	for attempt := 0; attempt <= w.opts.MaxRetries; attempt++ {
-		if attempt > 0 {
+	for attempt := 1; attempt <= w.opts.MaxRetries && len(retry) > 0; attempt++ {
+		sub := make([]sampling.Pair, len(retry))
+		for k, s := range retry {
 			w.nRetries.Add(1)
 			w.retries.Inc()
-			w.backoff(i, j, attempt)
+			w.backoff(pairs[s].Q, pairs[s].J, attempt)
+			sub[k] = pairs[s]
 		}
-		c, err := w.probe(i, j)
-		if err == nil {
-			return c, nil
+		subOut := make([]float64, len(sub))
+		subErrs := make([]error, len(sub))
+		sampling.Eval(w.inner, sub, subOut, subErrs, parallelism)
+		next := retry[:0]
+		for k, s := range retry {
+			out[s], errs[s] = subOut[k], subErrs[k]
+			if errs[s] != nil {
+				w.fault()
+				if !IsPermanent(errs[s]) {
+					next = append(next, s)
+				}
+			}
 		}
-		w.nFaults.Add(1)
-		w.faults.Inc()
-		last = err
-		if IsPermanent(err) {
-			break
+		retry = next
+	}
+	for s, err := range errs[:len(pairs)] {
+		if err != nil {
+			out[s], errs[s] = w.degrade(pairs[s].Q, pairs[s].J, err)
 		}
 	}
-	return w.degrade(i, j, last)
 }
 
-// BatchCostErr implements sampling.BatchErrOracle by fanning the pairs
-// over a bounded pool. Each slot's retries and degradation decisions
-// depend only on its own (query, configuration) identity, so out and errs
-// are identical to the serial path at every parallelism level.
-func (w *Oracle) BatchCostErr(pairs []sampling.Pair, out []float64, errs []error, parallelism int) {
-	par.For(len(pairs), parallelism, func(idx int) {
-		out[idx], errs[idx] = w.CostErr(pairs[idx].Q, pairs[idx].J)
-	})
+// fault counts one failed probe attempt.
+func (w *Oracle) fault() {
+	w.nFaults.Add(1)
+	w.faults.Inc()
 }
 
 // backoff accrues (and optionally sleeps) the jittered exponential delay

@@ -3,8 +3,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"reflect"
 	"testing"
 
 	"physdes/internal/obs"
@@ -13,42 +12,36 @@ import (
 
 // flaky is a scripted fallible oracle: fail[i][j] is the number of times
 // probe (i, j) fails before succeeding; -1 fails forever (transient),
-// -2 fails forever with a permanent error. The maps are mutex-guarded
-// because BatchCostErr probes concurrently.
+// -2 fails forever with a permanent error. batches records the pairs of
+// every batch it was handed.
 type flaky struct {
-	n, k  int
-	mu    sync.Mutex
-	fail  map[[2]int]int
-	tries map[[2]int]int64
-	calls atomic.Int64
+	n, k    int
+	fail    map[[2]int]int
+	tries   map[[2]int]int64
+	calls   int64
+	batches [][]sampling.Pair
 }
 
 func newFlaky(n, k int) *flaky {
 	return &flaky{n: n, k: k, fail: map[[2]int]int{}, tries: map[[2]int]int64{}}
 }
 
-func (f *flaky) attempts(i, j int) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.tries[[2]int{i, j}]
-}
+func (f *flaky) attempts(i, j int) int64 { return f.tries[[2]int{i, j}] }
 
 func (f *flaky) Cost(i, j int) float64 {
-	c, err := f.CostErr(i, j)
+	c, err := f.probe(i, j)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-func (f *flaky) CostErr(i, j int) (float64, error) {
-	f.calls.Add(1)
+func (f *flaky) probe(i, j int) (float64, error) {
+	f.calls++
 	key := [2]int{i, j}
-	f.mu.Lock()
 	f.tries[key]++
 	a := f.tries[key]
 	n := f.fail[key]
-	f.mu.Unlock()
 	switch {
 	case n == -2:
 		return 0, Permanent(fmt.Errorf("probe (%d,%d): schema missing", i, j))
@@ -58,17 +51,32 @@ func (f *flaky) CostErr(i, j int) (float64, error) {
 	return float64(100*i + j), nil
 }
 
+func (f *flaky) BatchCostErr(pairs []sampling.Pair, out []float64, errs []error, _ int) {
+	f.batches = append(f.batches, append([]sampling.Pair(nil), pairs...))
+	for s, p := range pairs {
+		out[s], errs[s] = f.probe(p.Q, p.J)
+	}
+}
+
 func (f *flaky) N() int       { return f.n }
 func (f *flaky) K() int       { return f.k }
-func (f *flaky) Calls() int64 { return f.calls.Load() }
+func (f *flaky) Calls() int64 { return f.calls }
+
+// costErr probes one pair through the wrapper's batch path.
+func costErr(w *Oracle, i, j int) (float64, error) {
+	var out [1]float64
+	var errs [1]error
+	w.BatchCostErr([]sampling.Pair{{Q: i, J: j}}, out[:], errs[:], 1)
+	return out[0], errs[0]
+}
 
 func TestRetrySucceedsWithinBudget(t *testing.T) {
 	f := newFlaky(4, 2)
 	f.fail[[2]int{1, 0}] = 2 // two transient failures, then success
 	w := Wrap(f, Options{MaxRetries: 3, Seed: 7})
-	c, err := w.CostErr(1, 0)
+	c, err := costErr(w, 1, 0)
 	if err != nil {
-		t.Fatalf("CostErr: %v", err)
+		t.Fatalf("costErr: %v", err)
 	}
 	if c != 100 {
 		t.Errorf("cost = %v, want 100", c)
@@ -89,7 +97,7 @@ func TestRetryExhaustionFailPolicy(t *testing.T) {
 	f := newFlaky(4, 2)
 	f.fail[[2]int{0, 1}] = -1
 	w := Wrap(f, Options{MaxRetries: 2})
-	_, err := w.CostErr(0, 1)
+	_, err := costErr(w, 0, 1)
 	if err == nil {
 		t.Fatal("want error after exhausted retries")
 	}
@@ -105,7 +113,7 @@ func TestPermanentErrorSkipsRetries(t *testing.T) {
 	f := newFlaky(4, 2)
 	f.fail[[2]int{2, 1}] = -2
 	w := Wrap(f, Options{MaxRetries: 5, Policy: Skip})
-	_, err := w.CostErr(2, 1)
+	_, err := costErr(w, 2, 1)
 	if !errors.Is(err, sampling.ErrSkipQuery) {
 		t.Fatalf("err = %v, want ErrSkipQuery", err)
 	}
@@ -123,12 +131,12 @@ func TestSkipPolicyAndErrorBudget(t *testing.T) {
 	w := Wrap(f, Options{MaxRetries: 1, Policy: Skip, ErrorBudget: 2, Metrics: reg})
 
 	for q := 0; q < 2; q++ {
-		if _, err := w.CostErr(q, 0); !errors.Is(err, sampling.ErrSkipQuery) {
+		if _, err := costErr(w, q, 0); !errors.Is(err, sampling.ErrSkipQuery) {
 			t.Fatalf("probe %d: err = %v, want ErrSkipQuery", q, err)
 		}
 	}
 	// Third degradation exceeds the budget.
-	if _, err := w.CostErr(2, 0); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := costErr(w, 2, 0); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 	st := w.Stats()
@@ -152,9 +160,9 @@ func TestConservativePolicySubstitutesFallback(t *testing.T) {
 	f.fail[[2]int{3, 1}] = -1
 	w := Wrap(f, Options{MaxRetries: 1, Policy: Conservative,
 		Fallback: func(i, j int) float64 { return 1e9 + float64(i) }})
-	c, err := w.CostErr(3, 1)
+	c, err := costErr(w, 3, 1)
 	if err != nil {
-		t.Fatalf("CostErr: %v", err)
+		t.Fatalf("costErr: %v", err)
 	}
 	if c != 1e9+3 {
 		t.Errorf("cost = %v, want fallback 1e9+3", c)
@@ -169,8 +177,8 @@ func TestBackoffDeterministicAcrossRuns(t *testing.T) {
 		f := newFlaky(4, 2)
 		f.fail[[2]int{1, 1}] = 3
 		w := Wrap(f, Options{MaxRetries: 3, Seed: 42})
-		if _, err := w.CostErr(1, 1); err != nil {
-			t.Fatalf("CostErr: %v", err)
+		if _, err := costErr(w, 1, 1); err != nil {
+			t.Fatalf("costErr: %v", err)
 		}
 		return w.Stats().BackoffMS
 	}
@@ -182,8 +190,8 @@ func TestBackoffDeterministicAcrossRuns(t *testing.T) {
 	f := newFlaky(4, 2)
 	f.fail[[2]int{1, 1}] = 3
 	w := Wrap(f, Options{MaxRetries: 3, Seed: 43})
-	if _, err := w.CostErr(1, 1); err != nil {
-		t.Fatalf("CostErr: %v", err)
+	if _, err := costErr(w, 1, 1); err != nil {
+		t.Fatalf("costErr: %v", err)
 	}
 	if w.Stats().BackoffMS == a {
 		t.Error("expected seed to perturb the jitter schedule")
@@ -196,7 +204,7 @@ func TestBackoffBoundedByMax(t *testing.T) {
 	f.fail[[2]int{0, 0}] = -1
 	w := Wrap(f, Options{MaxRetries: 12, BackoffBaseMS: 1, BackoffMaxMS: 8,
 		Sleep: func(ms float64) { delays = append(delays, ms) }})
-	w.CostErr(0, 0)
+	costErr(w, 0, 0)
 	if len(delays) != 12 {
 		t.Fatalf("got %d delays, want 12", len(delays))
 	}
@@ -207,47 +215,6 @@ func TestBackoffBoundedByMax(t *testing.T) {
 		if d <= 0 {
 			t.Errorf("delay[%d] = %v, want positive", a, d)
 		}
-	}
-}
-
-// timedFlaky reports virtual latencies: spikes[i][j] is the latency of
-// probe (i, j) on its first attempt; retries observe latency 1.
-type timedFlaky struct {
-	*flaky
-	spikes map[[2]int]float64
-}
-
-func (f *timedFlaky) CostTimed(i, j int) (float64, float64, error) {
-	c, err := f.CostErr(i, j)
-	lat := 1.0
-	if f.attempts(i, j) == 1 {
-		if s, ok := f.spikes[[2]int{i, j}]; ok {
-			lat = s
-		}
-	}
-	return c, lat, err
-}
-
-func TestCallBudgetRejectsSlowProbes(t *testing.T) {
-	tf := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{{1, 0}: 500}}
-	w := Wrap(tf, Options{MaxRetries: 1, CallBudgetMS: 100})
-	c, err := w.CostErr(1, 0)
-	if err != nil {
-		t.Fatalf("CostErr: %v (timeout should be retried and succeed)", err)
-	}
-	if c != 100 {
-		t.Errorf("cost = %v, want 100", c)
-	}
-	st := w.Stats()
-	if st.Faults != 1 || st.Retries != 1 {
-		t.Errorf("stats = %+v, want 1 fault + 1 retry from the latency spike", st)
-	}
-
-	// Without retries the spike surfaces as ErrCallTimeout.
-	tf2 := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{{1, 0}: 500}}
-	w2 := Wrap(tf2, Options{CallBudgetMS: 100})
-	if _, err := w2.CostErr(1, 0); !errors.Is(err, ErrCallTimeout) {
-		t.Errorf("err = %v, want ErrCallTimeout", err)
 	}
 }
 
@@ -290,9 +257,9 @@ func TestWrapInfallibleOracleIsTransparent(t *testing.T) {
 	w := Wrap(f, Options{MaxRetries: 3, Policy: Skip})
 	for q := 0; q < 4; q++ {
 		for j := 0; j < 2; j++ {
-			c, err := w.CostErr(q, j)
+			c, err := costErr(w, q, j)
 			if err != nil {
-				t.Fatalf("CostErr(%d,%d): %v", q, j, err)
+				t.Fatalf("costErr(%d,%d): %v", q, j, err)
 			}
 			if want := float64(100*q + j); c != want {
 				t.Errorf("cost(%d,%d) = %v, want %v", q, j, c, want)
@@ -308,50 +275,49 @@ func TestWrapInfallibleOracleIsTransparent(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogramObservesVirtualLatency(t *testing.T) {
-	reg := obs.NewRegistry()
-	tf := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{{1, 0}: 500}}
-	// No CallBudgetMS: the latency histogram alone must route probes
-	// through the timed path.
-	w := Wrap(tf, Options{Metrics: reg})
-	for q := 0; q < 4; q++ {
-		if _, err := w.CostErr(q, 0); err != nil {
-			t.Fatal(err)
+// A batch is evaluated once; each retry round re-evaluates only the slots
+// that failed retryably, as one sub-batch in slot order; what stays failed
+// degrades in slot order, so the error budget always runs out on the same
+// probe.
+func TestBatchRetriesFailedSlotsOnly(t *testing.T) {
+	f := newFlaky(8, 1)
+	f.fail[[2]int{1, 0}] = 1  // recovers on the first retry
+	f.fail[[2]int{3, 0}] = -2 // permanent: never retried
+	f.fail[[2]int{5, 0}] = -1 // fails forever
+	f.fail[[2]int{6, 0}] = -1 // fails forever
+	w := Wrap(f, Options{MaxRetries: 2, Policy: Skip, ErrorBudget: 2, Seed: 3})
+	var pairs []sampling.Pair
+	for q := 0; q < 8; q++ {
+		pairs = append(pairs, sampling.Pair{Q: q, J: 0})
+	}
+	out := make([]float64, len(pairs))
+	errs := make([]error, len(pairs))
+	w.BatchCostErr(pairs, out, errs, 4)
+
+	want := [][]sampling.Pair{
+		pairs,
+		{{Q: 1, J: 0}, {Q: 5, J: 0}, {Q: 6, J: 0}},
+		{{Q: 5, J: 0}, {Q: 6, J: 0}},
+	}
+	if !reflect.DeepEqual(f.batches, want) {
+		t.Errorf("inner batches = %v, want %v", f.batches, want)
+	}
+	if out[1] != 100 || errs[1] != nil {
+		t.Errorf("slot 1 = %v, %v; want the retried value 100", out[1], errs[1])
+	}
+	for _, s := range []int{3, 5} {
+		if !errors.Is(errs[s], sampling.ErrSkipQuery) {
+			t.Errorf("slot %d: err = %v, want ErrSkipQuery", s, errs[s])
 		}
 	}
-	hs := reg.Snapshot().Histograms["oracle_latency_seconds"]
-	if hs.Count != 4 {
-		t.Fatalf("oracle_latency_seconds count = %d, want 4", hs.Count)
+	if !errors.Is(errs[6], ErrBudgetExhausted) {
+		t.Errorf("slot 6: err = %v, want ErrBudgetExhausted (third degradation in slot order)", errs[6])
 	}
-	// Latencies are virtual milliseconds observed in seconds: three probes
-	// at 1ms, one spike at 500ms.
-	if hs.Sum < 0.5 || hs.Sum > 0.6 {
-		t.Errorf("sum = %v, want ~0.503", hs.Sum)
+	st := w.Stats()
+	if st.Retries != 5 || st.Faults != 8 || st.Degraded != 2 {
+		t.Errorf("stats = %+v, want 5 retries, 8 faults, 2 degraded", st)
 	}
-	if hs.P99 < 0.25 {
-		t.Errorf("p99 = %v, want to reflect the 500ms spike", hs.P99)
-	}
-
-	// Failed attempts are not observed; the eventual success is.
-	reg2 := obs.NewRegistry()
-	tf2 := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{}}
-	tf2.fail[[2]int{2, 1}] = 2
-	w2 := Wrap(tf2, Options{MaxRetries: 3, Metrics: reg2})
-	if _, err := w2.CostErr(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if hs := reg2.Snapshot().Histograms["oracle_latency_seconds"]; hs.Count != 1 {
-		t.Errorf("count = %d, want 1 (only the successful attempt observes)", hs.Count)
-	}
-
-	// An untimed oracle with metrics registers no latency series and keeps
-	// the plain CostErr path.
-	reg3 := obs.NewRegistry()
-	w3 := Wrap(newFlaky(2, 2), Options{Metrics: reg3})
-	if _, err := w3.CostErr(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reg3.Snapshot().Histograms["oracle_latency_seconds"]; ok {
-		t.Error("untimed oracle should not register oracle_latency_seconds")
+	if f.Calls() != 13 {
+		t.Errorf("calls = %d, want 13 (8 + 3 + 2 attempts)", f.Calls())
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // serialOracle wraps a MatrixOracle but does NOT implement BatchOracle
 // (explicit methods, no embedding, so no promoted BatchCost), exercising
-// batchCost's serial fallback.
+// Eval's serial fallback.
 type serialOracle struct {
 	m *MatrixOracle
 }
@@ -44,7 +44,13 @@ func TestBatchCostSerialFallback(t *testing.T) {
 	}
 	pairs := []Pair{{3, 0}, {3, 1}, {3, 2}, {11, 0}}
 	out := make([]float64, len(pairs))
-	batchCost(o, pairs, out, 8)
+	errs := []error{errSentinel, errSentinel, errSentinel, errSentinel}
+	Eval(o, pairs, out, errs, 8)
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("pair %d: infallible fallback left error %v", i, err)
+		}
+	}
 	if got := o.Calls(); got != int64(len(pairs)) {
 		t.Errorf("fallback charged %d calls, want %d", got, len(pairs))
 	}

@@ -46,7 +46,6 @@ type dRow struct {
 // deltaSampler runs Algorithm 1 with Delta Sampling.
 type deltaSampler struct {
 	o    Oracle
-	eo   ErrOracle // non-nil when the oracle's probes can fail
 	opts Options
 	pop  *population
 
@@ -88,26 +87,31 @@ type deltaSampler struct {
 	trace   []float64
 	split   splitScratch // reusable split-search buffers
 	pairBuf []float64    // reusable pairwise Pr(CS) buffer
+
+	// Reusable evalRow batch buffers (capacity k).
+	rowPairs []Pair
+	rowOut   []float64
+	rowErrs  []error
 }
 
 func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 	k, n := o.K(), o.N()
 	d := &deltaSampler{
 		o: o, opts: opts,
-		pop:        newPopulation(opts.TemplateIndex, opts.TemplateCount, n),
-		k:          k,
-		n:          n,
-		alive:      make([]bool, k),
-		aliveCount: k,
-		tCount:     make([]int, maxInt(opts.TemplateCount, 1)),
-		tSum:       make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
-		tSumsq:     make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
-		tCross:     make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
-		met:        newSamplerMetrics(opts.Metrics),
-	}
-	if eo, ok := o.(ErrOracle); ok {
-		d.eo = eo
-		d.tmplDropped = make([]int, maxInt(opts.TemplateCount, 1))
+		pop:         newPopulation(opts.TemplateIndex, opts.TemplateCount, n),
+		k:           k,
+		n:           n,
+		alive:       make([]bool, k),
+		aliveCount:  k,
+		tCount:      make([]int, maxInt(opts.TemplateCount, 1)),
+		tSum:        make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
+		tSumsq:      make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
+		tCross:      make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
+		tmplDropped: make([]int, maxInt(opts.TemplateCount, 1)),
+		met:         newSamplerMetrics(opts.Metrics),
+		rowPairs:    make([]Pair, 0, k),
+		rowOut:      make([]float64, k),
+		rowErrs:     make([]error, k),
 	}
 	for i := range d.alive {
 		d.alive[i] = true
@@ -378,7 +382,7 @@ func (d *deltaSampler) sampleFrom(h int) (bool, error) {
 // weight (Algorithm 2's split statistics) both shrink by one.
 func (d *deltaSampler) dropQuery(s *dStratum, q int) {
 	s.size--
-	if d.tmplDropped != nil && d.opts.TemplateIndex != nil {
+	if d.opts.TemplateIndex != nil {
 		d.tmplDropped[d.opts.TemplateIndex[q]]++
 	}
 	d.degraded++
@@ -387,71 +391,32 @@ func (d *deltaSampler) dropQuery(s *dStratum, q int) {
 // tmplSize is the template's live population: its full size minus the
 // queries degraded out of the run.
 func (d *deltaSampler) tmplSize(t int) int {
-	sz := d.pop.templateSize(t)
-	if d.tmplDropped != nil {
-		sz -= d.tmplDropped[t]
-	}
-	return sz
+	return d.pop.templateSize(t) - d.tmplDropped[t]
 }
 
 // evalRow costs query q under every alive configuration, NaN-marking the
-// eliminated ones. With Parallelism > 1 the row goes through the oracle's
-// batch path; the values are identical either way (pure cost model). A
-// fallible oracle's errors surface here: a hard error wins over any skip
-// request in the same row, and a skip request fails the whole row — Delta
-// Sampling shares the row across configurations, so a partial row would
-// corrupt the difference estimator's cross terms.
+// eliminated ones. The row is one Eval batch at every parallelism level,
+// so neither its values nor its call accounting depend on the setting. A
+// fallible oracle's errors surface here (see rowErr): a skip request fails
+// the whole row — Delta Sampling shares the row across configurations, so
+// a partial row would corrupt the difference estimator's cross terms.
 func (d *deltaSampler) evalRow(q int) ([]float64, error) {
 	costs := make([]float64, d.k)
-	if d.opts.Parallelism > 1 && d.aliveCount > 1 {
-		pairs := make([]Pair, 0, d.aliveCount)
-		for j := 0; j < d.k; j++ {
-			if d.alive[j] {
-				pairs = append(pairs, Pair{Q: q, J: j})
-			} else {
-				costs[j] = math.NaN()
-			}
-		}
-		out := make([]float64, len(pairs))
-		if d.eo != nil {
-			errs := make([]error, len(pairs))
-			batchCostErr(d.eo, pairs, out, errs, d.opts.Parallelism)
-			var skip error
-			for _, e := range errs {
-				if e == nil {
-					continue
-				}
-				if errors.Is(e, ErrSkipQuery) {
-					skip = e
-					continue
-				}
-				return nil, e
-			}
-			if skip != nil {
-				return nil, skip
-			}
-		} else {
-			batchCost(d.o, pairs, out, d.opts.Parallelism)
-		}
-		for i, p := range pairs {
-			costs[p.J] = out[i]
-		}
-		return costs, nil
-	}
+	pairs := d.rowPairs[:0]
 	for j := 0; j < d.k; j++ {
-		if !d.alive[j] {
+		if d.alive[j] {
+			pairs = append(pairs, Pair{Q: q, J: j})
+		} else {
 			costs[j] = math.NaN()
-			continue
 		}
-		if d.eo != nil {
-			c, err := d.eo.CostErr(q, j)
-			if err != nil {
-				return nil, err
-			}
-			costs[j] = c
-			continue
-		}
-		costs[j] = d.o.Cost(q, j)
+	}
+	out, errs := d.rowOut[:len(pairs)], d.rowErrs[:len(pairs)]
+	Eval(d.o, pairs, out, errs, d.opts.Parallelism)
+	if err := rowErr(errs); err != nil {
+		return nil, err
+	}
+	for i, p := range pairs {
+		costs[p.J] = out[i]
 	}
 	return costs, nil
 }
@@ -1048,12 +1013,10 @@ func (d *deltaSampler) pilot() error {
 // round-robin — including its per-row budget check (every configuration is
 // alive during the pilot, so a row costs exactly k calls) — is replayed
 // without touching the oracle to precompute the schedule, the schedule's
-// (query × alive configuration) pairs are evaluated in one BatchCost, and
+// (query × alive configuration) pairs are evaluated in one Eval batch, and
 // the rows are folded serially in schedule order. The resulting sampler
 // state and call accounting are bit-identical to the serial pilot when no
-// probe fails; failed rows degrade per row exactly like the serial path
-// (retries make the call totals diverge between parallelism levels only
-// once real faults occur).
+// probe fails; failed rows degrade per row exactly like the serial path.
 func (d *deltaSampler) pilotBatched(order []int) error {
 	type slot struct{ h, q int }
 	var schedule []slot
@@ -1094,31 +1057,16 @@ outer:
 		}
 	}
 	out := make([]float64, len(pairs))
-	var errs []error
-	if d.eo != nil {
-		errs = make([]error, len(pairs))
-		batchCostErr(d.eo, pairs, out, errs, d.opts.Parallelism)
-	} else {
-		batchCost(d.o, pairs, out, d.opts.Parallelism)
-	}
+	errs := make([]error, len(pairs))
+	Eval(d.o, pairs, out, errs, d.opts.Parallelism)
 	for i, sl := range schedule {
 		d.strata[sl.h].next++
-		if errs != nil {
-			var skip bool
-			for _, e := range errs[i*d.k : (i+1)*d.k] {
-				if e == nil {
-					continue
-				}
-				if errors.Is(e, ErrSkipQuery) {
-					skip = true
-					continue
-				}
-				return e
+		if err := rowErr(errs[i*d.k : (i+1)*d.k]); err != nil {
+			if !errors.Is(err, ErrSkipQuery) {
+				return err
 			}
-			if skip {
-				d.dropQuery(d.strata[sl.h], sl.q)
-				continue
-			}
+			d.dropQuery(d.strata[sl.h], sl.q)
+			continue
 		}
 		d.fold(sl.h, sl.q, out[i*d.k:(i+1)*d.k:(i+1)*d.k])
 	}

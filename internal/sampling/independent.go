@@ -47,7 +47,6 @@ type cfgState struct {
 // configuration the last sample was chosen from, as the paper prescribes).
 type independentSampler struct {
 	o    Oracle
-	eo   ErrOracle // non-nil when the oracle's probes can fail
 	opts Options
 	pop  *population
 
@@ -79,6 +78,11 @@ type independentSampler struct {
 	trace   []float64
 	split   splitScratch // reusable split-search buffers
 	pairBuf []float64    // reusable pairwise Pr(CS) buffer
+
+	// One-pair Eval buffers for sampleFrom.
+	pair [1]Pair
+	out  [1]float64
+	errs [1]error
 }
 
 func newIndependentSampler(o Oracle, opts Options) *independentSampler {
@@ -96,9 +100,6 @@ func newIndependentSampler(o Oracle, opts Options) *independentSampler {
 		tSum:       make([][]stats.Kahan, tc),
 		tSumsq:     make([][]stats.Kahan, tc),
 		met:        newSamplerMetrics(opts.Metrics),
-	}
-	if eo, ok := o.(ErrOracle); ok {
-		s.eo = eo
 	}
 	for j := range s.alive {
 		s.alive[j] = true
@@ -275,20 +276,17 @@ func (s *independentSampler) sampleFrom(j, h int) (bool, error) {
 	}
 	q := st.order[st.next]
 	st.next++
-	if s.eo != nil {
-		c, err := s.eo.CostErr(q, j)
-		if err != nil {
-			if errors.Is(err, ErrSkipQuery) {
-				st.size--
-				s.degraded++
-				return true, nil
-			}
+	s.pair[0] = Pair{Q: q, J: j}
+	Eval(s.o, s.pair[:], s.out[:], s.errs[:], s.opts.Parallelism)
+	if err := s.errs[0]; err != nil {
+		if !errors.Is(err, ErrSkipQuery) {
 			return false, err
 		}
-		s.fold(j, h, q, c)
+		st.size--
+		s.degraded++
 		return true, nil
 	}
-	s.fold(j, h, q, s.o.Cost(q, j))
+	s.fold(j, h, q, s.out[0])
 	return true, nil
 }
 
@@ -728,7 +726,7 @@ func (s *independentSampler) pilot() error {
 // pilotBatched evaluates the whole pilot as one batch: the serial
 // round-robin (one optimizer call per sample, budget-checked per sample)
 // is replayed to precompute the schedule, the schedule evaluates in one
-// BatchCost, and samples fold serially in schedule order — bit-identical
+// Eval batch, and samples fold serially in schedule order — bit-identical
 // state and accounting versus the serial pilot when no probe fails;
 // failed slots degrade exactly like the serial path.
 func (s *independentSampler) pilotBatched(order []int) error {
@@ -773,23 +771,18 @@ outer:
 		pairs[i] = Pair{Q: sl.q, J: sl.j}
 	}
 	out := make([]float64, len(pairs))
-	var errs []error
-	if s.eo != nil {
-		errs = make([]error, len(pairs))
-		batchCostErr(s.eo, pairs, out, errs, s.opts.Parallelism)
-	} else {
-		batchCost(s.o, pairs, out, s.opts.Parallelism)
-	}
+	errs := make([]error, len(pairs))
+	Eval(s.o, pairs, out, errs, s.opts.Parallelism)
 	for i, sl := range schedule {
 		st := s.cfg[sl.j].strata[sl.h]
 		st.next++
-		if errs != nil && errs[i] != nil {
-			if errors.Is(errs[i], ErrSkipQuery) {
-				st.size--
-				s.degraded++
-				continue
+		if err := errs[i]; err != nil {
+			if !errors.Is(err, ErrSkipQuery) {
+				return err
 			}
-			return errs[i]
+			st.size--
+			s.degraded++
+			continue
 		}
 		s.fold(sl.j, sl.h, sl.q, out[i])
 	}

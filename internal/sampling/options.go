@@ -99,12 +99,14 @@ type Options struct {
 	// error once it fires. nil means run to completion.
 	Ctx context.Context
 
-	// Parallelism, when > 1, routes batched cost requests — the whole
-	// pilot phase and each Delta row — through the oracle's batch path
-	// (BatchOracle) over a bounded worker pool. 0 or 1 evaluates serially.
-	// Results are bit-identical at every setting: workers only compute
-	// pure cost values into positional slots, and every statistical fold
-	// runs serially in the order the serial schedule would have produced.
+	// Parallelism bounds the worker pool the oracle's batch paths
+	// (BatchOracle, ErrOracle) may fan each batch over; every Delta row
+	// is one batch, and when > 1 the whole pilot phase is evaluated as
+	// one batch too. 0 or 1 evaluates serially. Results and call
+	// accounting are bit-identical at every setting, with or without
+	// failing probes: workers only compute pure cost values into
+	// positional slots, and every statistical fold runs serially in the
+	// order the serial schedule would have produced.
 	Parallelism int
 
 	// TemplateIndex maps each query to a dense template index; required

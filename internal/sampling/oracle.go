@@ -41,26 +41,20 @@ type Pair struct {
 }
 
 // ErrOracle is an Oracle whose cost probes can fail — the contract for
-// remote or flaky what-if services. The samplers always prefer CostErr
-// over Cost when an oracle implements it, so wrapping decorators (fault
-// injection, retries, degradation policies) see every probe.
-//
-// Infallible oracles wrap trivially: see AsErrOracle.
+// remote or flaky what-if services and for the decorators that model or
+// harden them (fault injection, retries, degradation policies). Its only
+// fallible path is a batch: the samplers hand every row and pilot batch
+// to BatchCostErr, so a decorator sees whole batches and can keep them
+// whole on the way down to the memoized oracle's deduplicating batch.
 type ErrOracle interface {
 	Oracle
-	// CostErr returns the cost of query i under configuration j, or an
-	// error when the probe could not produce one. Implementations decide
-	// what a failed probe charges against Calls(); the built-in resilience
-	// wrapper charges every attempt, matching a real what-if service that
-	// burns optimizer time before failing.
-	CostErr(i, j int) (float64, error)
-}
-
-// BatchErrOracle is an ErrOracle with a batched path: out[i], errs[i]
-// receive the result of pairs[i]. Like BatchOracle, values must be
-// identical to serial CostErr at every parallelism level.
-type BatchErrOracle interface {
-	ErrOracle
+	// BatchCostErr evaluates pairs[i] into out[i] and writes its error
+	// (nil on success) to errs[i], for every slot, using up to
+	// parallelism workers. Slots, values and errors must be identical at
+	// every parallelism level. Implementations decide what a failed probe
+	// charges against Calls(); the built-in decorators charge every
+	// attempt, matching a real what-if service that burns optimizer time
+	// before failing.
 	BatchCostErr(pairs []Pair, out []float64, errs []error, parallelism int)
 }
 
@@ -68,40 +62,46 @@ type BatchErrOracle interface {
 // wrapper in skip-and-reweight mode) returns — wrapped — to ask the
 // sampler to degrade gracefully: drop the query from its stratum and
 // renormalize the stratum weight, instead of failing the run. Any other
-// CostErr error aborts the selection.
+// probe error aborts the selection.
 var ErrSkipQuery = errors.New("sampling: skip query and reweight stratum")
 
-// errOracleAdapter lifts an infallible Oracle into an ErrOracle.
-type errOracleAdapter struct{ Oracle }
-
-func (a errOracleAdapter) CostErr(i, j int) (float64, error) { return a.Oracle.Cost(i, j), nil }
-
-// AsErrOracle returns o's fallible view: o itself when it already
-// implements ErrOracle, otherwise a trivial adapter whose CostErr never
-// fails.
-func AsErrOracle(o Oracle) ErrOracle {
-	if eo, ok := o.(ErrOracle); ok {
-		return eo
-	}
-	return errOracleAdapter{o}
-}
-
-// batchCostErr evaluates pairs through the oracle's fallible batch path
-// when it has one and parallel evaluation was requested, falling back to
-// sequential CostErr calls in pair order. errs[i] receives pairs[i]'s
-// error (nil on success); the serial fallback stops at the first
-// non-skip error, leaving later slots untouched at their zero values.
-func batchCostErr(o ErrOracle, pairs []Pair, out []float64, errs []error, parallelism int) {
-	if bo, ok := o.(BatchErrOracle); ok && parallelism > 1 {
-		bo.BatchCostErr(pairs, out, errs, parallelism)
+// Eval evaluates every pair through o's widest path: BatchCostErr for an
+// ErrOracle, BatchCost for a BatchOracle, otherwise a Cost loop in pair
+// order. It always evaluates the whole batch, so the call accounting is
+// the same at every parallelism level even when probes fail. errs must be
+// at least as long as pairs; the infallible paths clear it.
+func Eval(o Oracle, pairs []Pair, out []float64, errs []error, parallelism int) {
+	switch b := o.(type) {
+	case ErrOracle:
+		b.BatchCostErr(pairs, out, errs, parallelism)
 		return
-	}
-	for i, p := range pairs {
-		out[i], errs[i] = o.CostErr(p.Q, p.J)
-		if errs[i] != nil && !errors.Is(errs[i], ErrSkipQuery) {
-			return
+	case BatchOracle:
+		b.BatchCost(pairs, out, parallelism)
+	default:
+		for i, p := range pairs {
+			out[i] = o.Cost(p.Q, p.J)
 		}
 	}
+	clear(errs[:len(pairs)])
+}
+
+// rowErr resolves the errors of one evaluated row or sample: a hard error
+// wins over any skip request, and a skip request (ErrSkipQuery) is
+// returned when nothing worse happened.
+func rowErr(errs []error) error {
+	var skip error
+	for _, e := range errs {
+		switch {
+		case e == nil:
+		case errors.Is(e, ErrSkipQuery):
+			if skip == nil {
+				skip = e
+			}
+		default:
+			return e
+		}
+	}
+	return skip
 }
 
 // BatchOracle is an Oracle that can evaluate many pairs at once, fanning
@@ -114,19 +114,6 @@ type BatchOracle interface {
 	// BatchCost evaluates pairs[i] into out[i] using up to parallelism
 	// workers. len(out) must be >= len(pairs).
 	BatchCost(pairs []Pair, out []float64, parallelism int)
-}
-
-// batchCost evaluates pairs through the oracle's batch path when it has
-// one and parallel evaluation was requested, falling back to sequential
-// Cost calls in pair order.
-func batchCost(o Oracle, pairs []Pair, out []float64, parallelism int) {
-	if bo, ok := o.(BatchOracle); ok && parallelism > 1 {
-		bo.BatchCost(pairs, out, parallelism)
-		return
-	}
-	for i, p := range pairs {
-		out[i] = o.Cost(p.Q, p.J)
-	}
 }
 
 // MatrixOracle replays a precomputed cost matrix, charging synthetic calls.
@@ -242,7 +229,14 @@ func (o *SharedOracle) Calls() int64 { return o.C.Inner().Calls() }
 
 // BatchCost implements BatchOracle through the memo layer's deduplicating
 // batch path; values and accounting match serial Cost at every parallelism.
+// A serial batch is that same Cost loop, run without building requests.
 func (o *SharedOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
+	if parallelism <= 1 {
+		for i, p := range pairs {
+			out[i] = o.Cost(p.Q, p.J)
+		}
+		return
+	}
 	reqs := make([]optimizer.Request, len(pairs))
 	for i, p := range pairs {
 		reqs[i] = optimizer.Request{Analysis: o.Workload.Queries[p.Q].Analysis, Config: o.Configs[p.J]}

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"physdes/internal/catalog"
@@ -77,11 +79,30 @@ func TestSharedOracle(t *testing.T) {
 	}
 }
 
-// TestErrOracleAdapterAndLiveBatch pins the fallible-view plumbing around
-// an infallible oracle: AsErrOracle is the identity on an ErrOracle and a
-// never-failing adapter otherwise, batchCostErr's serial fallback matches
-// pairwise Cost, and LiveOracle's batch path matches its serial path.
-func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
+// scriptedErrOracle fails the pairs listed in fail and counts the batches
+// it was handed: the minimal ErrOracle.
+type scriptedErrOracle struct {
+	*MatrixOracle
+	fail    map[Pair]error
+	batches int
+}
+
+func (o *scriptedErrOracle) BatchCostErr(pairs []Pair, out []float64, errs []error, parallelism int) {
+	o.batches++
+	o.MatrixOracle.BatchCost(pairs, out, parallelism)
+	for i, p := range pairs {
+		errs[i] = o.fail[p]
+	}
+}
+
+var errSentinel = errors.New("sentinel")
+
+// TestEvalPathsAndLiveBatch pins Eval's routing: an ErrOracle takes its
+// fallible batch path once for the whole batch, even past a failing slot;
+// an infallible BatchOracle matches pairwise Cost and clears errs; and
+// LiveOracle's batch path matches its serial path. rowErr ranks a hard
+// error above a skip request.
+func TestEvalPathsAndLiveBatch(t *testing.T) {
 	cat := catalog.TPCD(0.01)
 	w, err := workload.GenTPCD(cat, 40, 67)
 	if err != nil {
@@ -93,36 +114,44 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	}
 	live := NewLiveOracle(optimizer.New(cat), w, configs)
 
-	eo := AsErrOracle(live)
-	if again := AsErrOracle(eo); again != eo {
-		t.Error("AsErrOracle must be the identity on an ErrOracle")
-	}
-	v, cerr := eo.CostErr(2, 1)
-	if cerr != nil {
-		t.Fatalf("adapter CostErr failed: %v", cerr)
-	}
-	if want := live.Cost(2, 1); v != want {
-		t.Errorf("CostErr = %v, Cost = %v", v, want)
-	}
-
 	pairs := []Pair{{Q: 0, J: 0}, {Q: 1, J: 1}, {Q: 2, J: 0}, {Q: 3, J: 1}}
 	out := make([]float64, len(pairs))
-	errs := make([]error, len(pairs))
-	batchCostErr(eo, pairs, out, errs, 1)
+	errs := []error{errSentinel, errSentinel, errSentinel, errSentinel}
+	Eval(live, pairs, out, errs, 1)
 	for i, p := range pairs {
 		if errs[i] != nil {
 			t.Fatalf("pair %d errored: %v", i, errs[i])
 		}
 		if want := live.Cost(p.Q, p.J); out[i] != want {
-			t.Errorf("pair %d: batchCostErr %v, serial %v", i, out[i], want)
+			t.Errorf("pair %d: Eval %v, serial %v", i, out[i], want)
 		}
 	}
-
 	batched := make([]float64, len(pairs))
 	live.BatchCost(pairs, batched, 2)
 	for i := range pairs {
 		if batched[i] != out[i] {
 			t.Errorf("pair %d: BatchCost %v diverged from serial %v", i, batched[i], out[i])
 		}
+	}
+
+	m, _ := synthMatrix(10, 2, 2, 0.1, 1, 3)
+	skip := fmt.Errorf("probe: %w", ErrSkipQuery)
+	eo := &scriptedErrOracle{MatrixOracle: NewMatrixOracle(m),
+		fail: map[Pair]error{{Q: 1, J: 1}: skip, {Q: 3, J: 1}: errSentinel}}
+	Eval(eo, pairs, out, errs, 1)
+	if eo.batches != 1 || eo.Calls() != int64(len(pairs)) {
+		t.Errorf("ErrOracle saw %d batches and %d calls, want 1 batch of %d", eo.batches, eo.Calls(), len(pairs))
+	}
+	if errs[0] != nil || errs[1] != skip || errs[2] != nil || errs[3] != errSentinel {
+		t.Errorf("errs = %v", errs)
+	}
+	if got := rowErr(errs); got != errSentinel {
+		t.Errorf("rowErr = %v, want the hard error over the skip", got)
+	}
+	if got := rowErr(errs[:3]); got != skip {
+		t.Errorf("rowErr = %v, want the skip request", got)
+	}
+	if got := rowErr(errs[:1]); got != nil {
+		t.Errorf("rowErr = %v on a clean row", got)
 	}
 }

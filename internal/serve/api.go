@@ -51,8 +51,8 @@ type JobRequest struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Strat is "progressive" (default), "none" or "fine".
 	Strat string `json:"strat,omitempty"`
-	// Parallelism is the per-job what-if worker count (default 1 — keep
-	// it small; the daemon already runs jobs concurrently).
+	// Parallelism is the per-job what-if worker count (default 1 when
+	// <= 0 — keep it small; the daemon already runs jobs concurrently).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Conservative enables conservative-variance mode.
 	Conservative bool `json:"conservative,omitempty"`
@@ -99,9 +99,7 @@ func (jr JobRequest) options(lim TenantLimits) (core.Options, error) {
 	default:
 		return o, fmt.Errorf("unknown stratification %q", jr.Strat)
 	}
-	if jr.Parallelism > 0 {
-		o.Parallelism = jr.Parallelism
-	}
+	o.Parallelism = max(jr.Parallelism, 1)
 	o.Conservative = jr.Conservative
 	if jr.MaxCalls > 0 {
 		o.MaxCalls = int64(jr.MaxCalls)

@@ -135,17 +135,27 @@ func TestServeTenantHeaderValidation(t *testing.T) {
 }
 
 // TestJobRequestOptionVariants covers every accepted scheme, strat, and
-// degrade spelling plus the numeric overrides.
+// degrade spelling plus the numeric overrides, and pins the documented
+// per-job parallelism default of 1.
 func TestJobRequestOptionVariants(t *testing.T) {
-	cases := []JobRequest{
-		{Seed: 1, Scheme: "delta", Strat: "progressive"},
-		{Seed: 2, Scheme: "independent", Strat: "none"},
-		{Seed: 3, Strat: "fine", Alpha: 0.9, Delta: 0.1},
-		{Seed: 4, Parallelism: 2, MaxCalls: 100, Conservative: true},
+	cases := []struct {
+		jr      JobRequest
+		wantPar int
+	}{
+		{JobRequest{Seed: 1, Scheme: "delta", Strat: "progressive"}, 1},
+		{JobRequest{Seed: 2, Scheme: "independent", Strat: "none"}, 1},
+		{JobRequest{Seed: 3, Strat: "fine", Alpha: 0.9, Delta: 0.1}, 1},
+		{JobRequest{Seed: 4, Parallelism: 2, MaxCalls: 100, Conservative: true}, 2},
+		{JobRequest{Seed: 5, Parallelism: -3}, 1},
 	}
-	for i, jr := range cases {
-		if _, err := JobOptions(jr, TenantLimits{}); err != nil {
-			t.Errorf("case %d (%+v): %v", i, jr, err)
+	for i, tc := range cases {
+		o, err := JobOptions(tc.jr, TenantLimits{})
+		if err != nil {
+			t.Errorf("case %d (%+v): %v", i, tc.jr, err)
+			continue
+		}
+		if o.Parallelism != tc.wantPar {
+			t.Errorf("case %d (%+v): Parallelism = %d, want %d", i, tc.jr, o.Parallelism, tc.wantPar)
 		}
 	}
 	off := false

@@ -20,11 +20,13 @@ type outageOracle struct {
 
 var errSyntheticOutage = errors.New("synthetic probe outage")
 
-func (o *outageOracle) CostErr(i, j int) (float64, error) {
-	if (i*31+j)%o.mod == 0 {
-		return 0, errSyntheticOutage
+func (o *outageOracle) BatchCostErr(pairs []sampling.Pair, out []float64, errs []error, parallelism int) {
+	sampling.Eval(o.Oracle, pairs, out, errs, parallelism)
+	for s, p := range pairs {
+		if (p.Q*31+p.J)%o.mod == 0 {
+			out[s], errs[s] = 0, errSyntheticOutage
+		}
 	}
-	return o.Oracle.Cost(i, j), nil
 }
 
 // TestServeErrorBudgetIsolation runs a degrading tenant, a

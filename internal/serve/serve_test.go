@@ -173,29 +173,44 @@ func directSelection(t *testing.T, req JobRequest, lim TenantLimits, wn int, wse
 
 // TestDaemonDeterminism pins the service contract: a job submitted over
 // HTTP yields a Selection DeepEqual to running core.Select directly with
-// the same seed and options — at parallelism 1 and 8.
+// the same seed and options — at parallelism 1 and 8, with and without
+// the resilience layer — and the tenant's call budget is charged exactly
+// the direct run's OptimizerCalls.
 func TestDaemonDeterminism(t *testing.T) {
-	h := newHarness(t, Config{Runners: 2})
-	wid := h.uploadWorkload("", 60, 7)
-	for _, par := range []int{1, 8} {
-		req := JobRequest{Workload: wid, K: 6, Seed: 11, Parallelism: par}
-		id := h.submit("", req)
-		resp := h.await("", id)
-		if resp.Status != StatusDone {
-			t.Fatalf("parallelism %d: job ended %s (%s)", par, resp.Status, resp.Error)
-		}
-		got := h.s.Selection(id)
-		if got == nil {
-			t.Fatalf("parallelism %d: no stored selection", par)
-		}
-		want := directSelection(t, req, TenantLimits{}, 60, 7)
-		// The daemon attaches a tracer, so PrCSTrace is populated on the
-		// HTTP side only; blank it before the bitwise comparison.
-		gotCopy := *got
-		gotCopy.PrCSTrace = nil
-		if !reflect.DeepEqual(&gotCopy, want) {
-			t.Errorf("parallelism %d: daemon selection differs from direct core.Select\n got: %+v\nwant: %+v",
-				par, &gotCopy, want)
+	retry := TenantLimits{MaxRetries: 2}
+	h := newHarness(t, Config{Runners: 2, TenantLimits: map[string]TenantLimits{"retry": retry}})
+	for _, tc := range []struct {
+		tenant string
+		lim    TenantLimits
+	}{{"", TenantLimits{}}, {"retry", retry}} {
+		wid := h.uploadWorkload(tc.tenant, 60, 7)
+		for _, par := range []int{1, 8} {
+			var before, after TenantResponse
+			h.requestJSON("GET", "/v1/tenant", tc.tenant, nil, &before)
+			req := JobRequest{Workload: wid, K: 6, Seed: 11, Parallelism: par}
+			id := h.submit(tc.tenant, req)
+			resp := h.await(tc.tenant, id)
+			if resp.Status != StatusDone {
+				t.Fatalf("tenant %q parallelism %d: job ended %s (%s)", tc.tenant, par, resp.Status, resp.Error)
+			}
+			got := h.s.Selection(id)
+			if got == nil {
+				t.Fatalf("tenant %q parallelism %d: no stored selection", tc.tenant, par)
+			}
+			want := directSelection(t, req, tc.lim, 60, 7)
+			// The daemon attaches a tracer, so PrCSTrace is populated on the
+			// HTTP side only; blank it before the bitwise comparison.
+			gotCopy := *got
+			gotCopy.PrCSTrace = nil
+			if !reflect.DeepEqual(&gotCopy, want) {
+				t.Errorf("tenant %q parallelism %d: daemon selection differs from direct core.Select\n got: %+v\nwant: %+v",
+					tc.tenant, par, &gotCopy, want)
+			}
+			h.requestJSON("GET", "/v1/tenant", tc.tenant, nil, &after)
+			if charged := after.CallsUsed - before.CallsUsed; charged != want.OptimizerCalls {
+				t.Errorf("tenant %q parallelism %d: budget charged %d calls, direct run spent %d",
+					tc.tenant, par, charged, want.OptimizerCalls)
+			}
 		}
 	}
 }

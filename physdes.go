@@ -387,7 +387,10 @@ func SelectTraced(opt *Optimizer, w *Workload, configs []*Configuration, o Optio
 
 // SelectCtx is Select with cancellation and oracle resilience: ctx aborts
 // the run between rounds and scheduled probes, and Options.MaxRetries /
-// CallBudgetMS / ErrorBudget / Degrade harden a fallible what-if oracle.
+// ErrorBudget / Degrade harden a fallible what-if oracle: each batch of
+// probes is evaluated once, its failed slots are retried, and what stays
+// failed is degraded, all in slot order, so the Selection and its call
+// accounting do not depend on Options.Parallelism.
 func SelectCtx(ctx context.Context, opt *Optimizer, w *Workload, configs []*Configuration, o Options) (*Selection, error) {
 	return core.SelectCtx(ctx, opt, w, configs, o)
 }
