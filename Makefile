@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-parallel bench-strat bench-atoms bench-warmstart bench-serve experiments experiments-paper cover clean
+.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-parallel bench-atoms bench-warmstart bench-serve experiments experiments-paper cover clean
 
 all: build vet lint test
 
@@ -63,11 +63,6 @@ bench:
 # Speedup curve of the batched what-if layer (BENCH_parallel.json).
 bench-parallel:
 	$(GO) run ./cmd/benchrunner -exp parallel -json BENCH_parallel.json
-
-# Split-search perf trajectory: incremental Algorithm 2 vs the naive
-# reference (BENCH_strat.json).
-bench-strat:
-	$(GO) run ./cmd/benchrunner -exp strat -json BENCH_strat.json
 
 # Atomic what-if sharing: call reduction on the Table 2 candidate spaces
 # (BENCH_atoms.json).

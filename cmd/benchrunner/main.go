@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|parallel|strat|atoms|drift]
+//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|parallel|atoms|drift]
 //	            [-quick|-paper] [-seed N] [-repeats N]
 //	            [-profile cpu.pprof] [-heap-profile heap.pprof] [-metrics]
 //	            [-parallelism N] [-json BENCH_parallel.json] [-listen 127.0.0.1:6060]
@@ -39,7 +39,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, parallel, strat, atoms, drift)")
+		exp         = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, parallel, atoms, drift)")
 		paper       = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
 		seed        = flag.Uint64("seed", 1, "random seed")
 		repeats     = flag.Int("repeats", 0, "override Monte-Carlo repeats")
@@ -337,22 +337,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 		}
 		fmt.Fprintln(out)
 	}
-	if all || exp == "strat" {
-		rows := experiments.SplitSearch(p)
-		fmt.Fprintln(out, "Split search: incremental prefix-moment Algorithm 2 vs naive reference")
-		fmt.Fprintln(out, "(single stratum, per-search wall time and heap allocations)")
-		for _, r := range rows {
-			fmt.Fprintf(out, "  T=%-5d evals=%-5d inc=%9.0fns naive=%11.0fns  speedup=%5.1fx  allocs inc=%g naive=%g  agree=%v\n",
-				r.Templates, r.Evals, r.IncNs, r.NaiveNs, r.Speedup, r.IncAllocs, r.NaiveAllocs, r.Agree)
-		}
-		if jsonOut != "" && exp == "strat" {
-			if err := experiments.WriteStratJSON(jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote split-search rows to %s\n", jsonOut)
-		}
-		fmt.Fprintln(out)
-	}
 	if all || exp == "atoms" {
 		ks := []int{50, 200, 500}
 		rows, err := experiments.AtomSharing(tpcd, ks, p)
@@ -422,7 +406,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 	}
 	if !all {
 		switch exp {
-		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "parallel", "strat", "atoms", "drift", "serve":
+		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "parallel", "atoms", "drift", "serve":
 		default:
 			return fmt.Errorf("unknown experiment %q", exp)
 		}

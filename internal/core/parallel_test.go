@@ -145,6 +145,21 @@ func TestSelectParallelDeterminism(t *testing.T) {
 			o.WrapOracle = faulty(faultinject.Options{Seed: 23, TransientRate: 0.05, PermanentRate: 0.01})
 		}},
 		{"warm", sampling.Delta, false, nil}, // WarmState from a prior run, set below
+		// A budget that binds inside the pilot: the pilot is planned at one
+		// call per probe at every parallelism, even where atom sharing
+		// charges fewer inner calls.
+		{"maxcalls-in-pilot", sampling.Delta, false, func(o *Options) { o.MaxCalls = 100 }},
+		{"maxcalls-in-pilot/independent", sampling.Independent, false, func(o *Options) { o.MaxCalls = 100 }},
+		// Without retries every transient fault degrades its probe,
+		// including pilot probes, which are not replaced.
+		{"skip-no-retry", sampling.Delta, true, func(o *Options) {
+			o.MaxRetries, o.Degrade = 0, resilience.Skip
+			o.WrapOracle = faulty(faultinject.Options{Seed: 17, TransientRate: 0.05})
+		}},
+		{"skip-no-retry/independent", sampling.Independent, true, func(o *Options) {
+			o.MaxRetries, o.Degrade = 0, resilience.Skip
+			o.WrapOracle = faulty(faultinject.Options{Seed: 17, TransientRate: 0.05})
+		}},
 	}
 	for _, sharing := range []AtomSharingMode{AtomSharingEnabled, AtomSharingDisabled} {
 		sharingName := map[AtomSharingMode]string{AtomSharingEnabled: "atoms", AtomSharingDisabled: "direct"}[sharing]

@@ -66,11 +66,16 @@ type Options struct {
 	// NMin is the per-stratum pilot size (default 30).
 	NMin int
 	// MaxCalls, when positive, caps optimizer calls (fixed-budget mode).
+	// The pilot is planned up front at one call per probe, the same at
+	// every Parallelism; with atom sharing a probe may charge the inner
+	// optimizer several calls, so a budget that binds inside the pilot can
+	// end above MaxCalls (e.g. 111 calls for MaxCalls 100). Sampling after
+	// the pilot checks the inner counter before every probe.
 	MaxCalls int64
 	// Seed drives all randomness.
 	Seed uint64
 	// Parallelism bounds the what-if worker pool used by the batched
-	// evaluation paths: the pilot rounds, each Delta row, and conservative
+	// evaluation paths: the pilot, each Delta row, and conservative
 	// bound derivation (default runtime.GOMAXPROCS(0); 1 forces serial
 	// evaluation; negative values are treated as 1). The Selection is
 	// bit-identical across parallelism levels for a fixed Seed — workers

@@ -8,7 +8,7 @@ import (
 
 // With two strata of equal variance but very different optimization
 // overheads, the Section 5.2 overhead weighting must pull samples toward
-// the cheap stratum.
+// the cheap stratum, for both schemes' allocation.
 func TestCallCostShiftsAllocation(t *testing.T) {
 	const n = 2000
 	// Template 0 queries are cheap to optimize, template 1 queries are
@@ -21,31 +21,37 @@ func TestCallCostShiftsAllocation(t *testing.T) {
 		return 1
 	}
 
-	countByTemplate := func(withCost bool) [2]int {
-		d := newDeltaSampler(NewMatrixOracle(m), Options{
-			Scheme: Delta, Strat: Fine, NMin: 5, MaxCalls: 800,
-			RNG:           stats.NewRNG(9),
-			TemplateIndex: tmplIdx, TemplateCount: 2,
-			CallCost: map[bool]func(int) float64{true: callCost, false: nil}[withCost],
-		}.withDefaults())
-		d.run()
-		var counts [2]int
-		for _, row := range d.rows {
-			counts[row.tmpl]++
+	for _, scheme := range []Scheme{Delta, Independent} {
+		countByTemplate := func(withCost bool) [2]int {
+			e := newEngine(NewMatrixOracle(m), Options{
+				Scheme: scheme, Strat: Fine, NMin: 5, MaxCalls: 800,
+				RNG:           stats.NewRNG(9),
+				TemplateIndex: tmplIdx, TemplateCount: 2,
+				CallCost: map[bool]func(int) float64{true: callCost, false: nil}[withCost],
+			}.withDefaults())
+			if _, err := e.run(); err != nil {
+				t.Fatal(err)
+			}
+			var counts [2]int
+			for tmpl, perCfg := range e.tCount {
+				for _, c := range perCfg {
+					counts[tmpl] += c
+				}
+			}
+			return counts
 		}
-		return counts
-	}
 
-	plain := countByTemplate(false)
-	weighted := countByTemplate(true)
-	t.Logf("allocation plain=%v overhead-weighted=%v", plain, weighted)
+		plain := countByTemplate(false)
+		weighted := countByTemplate(true)
+		t.Logf("%v: allocation plain=%v overhead-weighted=%v", scheme, plain, weighted)
 
-	// With weighting, the cheap template's share must grow.
-	plainShare := float64(plain[0]) / float64(plain[0]+plain[1])
-	weightedShare := float64(weighted[0]) / float64(weighted[0]+weighted[1])
-	if weightedShare <= plainShare {
-		t.Errorf("overhead weighting did not shift samples to the cheap stratum: %.2f vs %.2f",
-			weightedShare, plainShare)
+		// With weighting, the cheap template's share must grow.
+		plainShare := float64(plain[0]) / float64(plain[0]+plain[1])
+		weightedShare := float64(weighted[0]) / float64(weighted[0]+weighted[1])
+		if weightedShare <= plainShare {
+			t.Errorf("%v: overhead weighting did not shift samples to the cheap stratum: %.2f vs %.2f",
+				scheme, weightedShare, plainShare)
+		}
 	}
 }
 

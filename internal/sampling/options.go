@@ -94,19 +94,20 @@ type Options struct {
 	// RNG drives all randomness; required.
 	RNG *stats.RNG
 
-	// Ctx, when non-nil, cancels the run: the samplers check it before
-	// every round and every scheduled probe, and Run returns the context
+	// Ctx, when non-nil, cancels the run: the sampler checks it before
+	// the pilot batch and before every round, and Run returns the context
 	// error once it fires. nil means run to completion.
 	Ctx context.Context
 
 	// Parallelism bounds the worker pool the oracle's batch paths
-	// (BatchOracle, ErrOracle) may fan each batch over; every Delta row
-	// is one batch, and when > 1 the whole pilot phase is evaluated as
-	// one batch too. 0 or 1 evaluates serially. Results and call
-	// accounting are bit-identical at every setting, with or without
+	// (BatchOracle, ErrOracle) may fan each batch over; 0 or 1 evaluates
+	// serially. Every sample is one batch, and the pilot is one batch at
+	// every setting, scheduled up front at one call per probe against
+	// MaxCalls (an oracle charging several calls per probe, like atom
+	// sharing's inner counter, can end it above MaxCalls). Results and
+	// call accounting are bit-identical at every setting, with or without
 	// failing probes: workers only compute pure cost values into
-	// positional slots, and every statistical fold runs serially in the
-	// order the serial schedule would have produced.
+	// positional slots, and every fold runs serially in schedule order.
 	Parallelism int
 
 	// TemplateIndex maps each query to a dense template index; required
@@ -159,8 +160,7 @@ type Options struct {
 	// the full NMin.
 	WarmPilot int
 
-	// TracePrCS records Pr(CS) after every sample into Result.PrCSTrace
-	// (what RunTraced toggles).
+	// TracePrCS records Pr(CS) after every sample into Result.PrCSTrace.
 	TracePrCS bool
 
 	// Tracer, when non-nil, receives structured events for every sampling

@@ -144,36 +144,40 @@ func TestDeltaBeatsIndependentMonteCarlo(t *testing.T) {
 }
 
 // The estimators must be unbiased: across Monte-Carlo runs the mean of X_j
-// should track the true total cost.
+// should track the true total cost, for both schemes.
 func TestEstimatorUnbiasedness(t *testing.T) {
 	m, tmplIdx := synthMatrix(3000, 2, 6, 0.05, 1, 8)
 	true0 := m.TotalCost(0)
-	for _, mode := range []StratMode{NoStrat, Fine} {
-		var sum float64
-		const runs = 400
-		for r := 0; r < runs; r++ {
-			d := newDeltaSampler(NewMatrixOracle(m), Options{
-				Scheme: Delta, Strat: mode, Alpha: 0.9, NMin: 10,
-				MaxCalls: 600, RNG: stats.NewRNG(uint64(r) + 999),
-				TemplateIndex: tmplIdx, TemplateCount: 6, MinTemplateObs: 2,
-			}.withDefaults())
-			for h := range d.strata {
-				for d.strata[h].n < minInt(10, d.strata[h].size) {
-					ok, err := d.sampleFrom(h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
+	for _, scheme := range []Scheme{Delta, Independent} {
+		for _, mode := range []StratMode{NoStrat, Fine} {
+			var sum float64
+			const runs = 400
+			for r := 0; r < runs; r++ {
+				e := newEngine(NewMatrixOracle(m), Options{
+					Scheme: scheme, Strat: mode, Alpha: 0.9, NMin: 10,
+					MaxCalls: 600, RNG: stats.NewRNG(uint64(r) + 999),
+					TemplateIndex: tmplIdx, TemplateCount: 6, MinTemplateObs: 2,
+				}.withDefaults())
+				for p, strata := range e.parts {
+					for h, s := range strata {
+						for s.n < min(10, s.size) {
+							ok, err := e.sampleFrom(p, h)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !ok {
+								break
+							}
+						}
 					}
 				}
+				sum += e.estimate(0)
 			}
-			sum += d.estimate(0)
-		}
-		got := sum / runs
-		if math.Abs(got-true0)/true0 > 0.05 {
-			t.Errorf("mode %v: estimator mean %v vs true %v (%.1f%% off)",
-				mode, got, true0, 100*math.Abs(got-true0)/true0)
+			got := sum / runs
+			if math.Abs(got-true0)/true0 > 0.05 {
+				t.Errorf("%v/%v: estimator mean %v vs true %v (%.1f%% off)",
+					scheme, mode, got, true0, 100*math.Abs(got-true0)/true0)
+			}
 		}
 	}
 }
@@ -400,8 +404,8 @@ func TestVarianceBoundMakesConservative(t *testing.T) {
 
 func TestRunTraced(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 2, 6, 0.05, 1, 28)
-	res, err := RunTraced(NewMatrixOracle(m), Options{
-		Scheme: Delta, Alpha: 0.9,
+	res, err := Run(NewMatrixOracle(m), Options{
+		Scheme: Delta, Alpha: 0.9, TracePrCS: true,
 		TemplateIndex: tmplIdx, TemplateCount: 6,
 		RNG: stats.NewRNG(84),
 	})

@@ -103,18 +103,6 @@ func meansDiffer(fMean, fVar float64, fN int, pMean, pVar float64, pN int) bool 
 	return diff > priorDriftSigma*se
 }
 
-// priorMeansDiffer applies meansDiffer to raw Kahan moment columns.
-//
-//physdes:zeroalloc
-func priorMeansDiffer(fSum, fSumsq stats.Kahan, fN int, pSum, pSumsq stats.Kahan, pN int) bool {
-	if fN < 2 || pN < 2 {
-		return false
-	}
-	fVar, _ := stats.SampleVarFromKahanSums(fSum, fSumsq, fN)
-	pVar, _ := stats.SampleVarFromKahanSums(pSum, pSumsq, pN)
-	return meansDiffer(fSum.Sum()/float64(fN), fVar, fN, pSum.Sum()/float64(pN), pVar, pN)
-}
-
 // ParamMoment holds Welford moments of one literal position of a query
 // template: observation count, running mean and the centered sum of
 // squares M2 (sample variance = M2/(N-1)). Two runs compare these moments
