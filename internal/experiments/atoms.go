@@ -43,8 +43,8 @@ type AtomsRow struct {
 // sharing on the Table 2 regime: for each k, a perturbation space around a
 // tuned configuration (heavily overlapping candidates, as a tuning tool
 // emits) is costed over a workload subset, once with a plain optimizer and
-// once through optimizer.NewCachedAtomic, asserting bit-identical costs and
-// reporting both call bills.
+// once through the atom memo (optimizer.NewCached), asserting
+// bit-identical costs and reporting both call bills.
 func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 	p = p.withDefaults()
 	w := subsample(s.W, 1200, p.Seed+9)
@@ -66,7 +66,7 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		direct := optimizer.New(s.Cat)
 		want := direct.Batch(reqs, par)
 
-		shared := optimizer.NewCachedAtomic(optimizer.New(s.Cat))
+		shared := optimizer.NewCached(optimizer.New(s.Cat))
 		got := shared.Batch(reqs, par)
 
 		identical := true
@@ -80,7 +80,7 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 			return nil, fmt.Errorf("experiments: atoms: k=%d cost surfaces diverged (sharing must be exact)", k)
 		}
 
-		hits, misses, fallbacks, _ := shared.Atoms().Stats()
+		hits, misses, fallbacks := shared.AtomStats()
 		row := AtomsRow{
 			K:           len(configs),
 			Queries:     w.Size(),

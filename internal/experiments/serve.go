@@ -222,18 +222,10 @@ func ServeLoad(sessions, jobsPerSession, tenants int, p Params) (*ServeLoadResul
 		out.P50JobMS = h.P50 * 1000
 		out.P99JobMS = h.P99 * 1000
 	}
-	// A probe is "served from cache" when the memo table answers it or a
-	// memo miss reassembles entirely from already-seen atoms instead of
-	// paying an inner what-if call.
-	memoHits := float64(snap.Counters["optimizer_cache_hits_total"])
-	memoMisses := float64(snap.Counters["optimizer_cache_misses_total"])
-	atomHits := float64(snap.Counters["optimizer_atom_hits_total"])
-	if probes := memoHits + memoMisses; probes > 0 {
-		served := memoHits + atomHits
-		if served > probes {
-			served = probes
-		}
-		out.CacheHitRate = served / probes
+	// A probe is a memo hit when it paid no inner what-if call.
+	hits := snap.Counters["optimizer_cache_hits_total"]
+	if probes := hits + snap.Counters["optimizer_cache_misses_total"]; probes > 0 {
+		out.CacheHitRate = float64(hits) / float64(probes)
 	}
 
 	if out.JobsLost != 0 || out.JobsDuplicated != 0 {

@@ -94,9 +94,10 @@ type OracleStats struct {
 	DegradedQueries int   `json:"degraded_queries"`
 }
 
-// CacheStats is the what-if memo cache accounting, read from the metrics
+// CacheStats is the what-if memo accounting, read from the metrics
 // registry at snapshot time (only present when a registry is attached
-// and a cached optimizer ran).
+// and the memo ran): Hits are requests answered without an inner what-if
+// call, Misses requests that paid at least one.
 type CacheStats struct {
 	Hits    int64   `json:"hits"`
 	Misses  int64   `json:"misses"`

@@ -1,12 +1,6 @@
 package optimizer
 
 import (
-	"context"
-	"math"
-	"sync"
-	"sync/atomic"
-
-	"physdes/internal/obs"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
 )
@@ -51,14 +45,14 @@ import (
 // DefaultMaxAtomWidth bounds the number of structures a projection atom
 // may hold. Projections wider than the bound (possible only for
 // statements referencing many tables under very wide configurations) fall
-// back to one direct what-if call on the full configuration, keeping the
-// atom-store keys small and the sharing profitable.
+// back to one what-if call on the full configuration, keeping the atom
+// keys small and the sharing profitable.
 const DefaultMaxAtomWidth = 16
 
 // AtomPlan is the result of decomposing one (statement, configuration)
-// evaluation: either the atoms whose cost minimum reproduces the direct
-// cost exactly, or Fallback when the statement should be costed directly
-// against the full configuration.
+// evaluation: the atoms whose cost minimum reproduces the direct cost
+// exactly. Fallback marks a plan over the width bound, whose one atom is
+// the full configuration.
 type AtomPlan struct {
 	Atoms    []*physical.Configuration
 	Fallback bool
@@ -79,7 +73,7 @@ func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) 
 }
 
 // decomposePlan is Decompose with a pluggable singleton-atom constructor so
-// the AtomicCache can intern the (heavily reused) singleton configurations.
+// the memo can intern the (heavily reused) singleton configurations.
 func decomposePlan(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, singleton func(*physical.Index) *physical.Configuration) AtomPlan {
 	if maxWidth <= 0 {
 		maxWidth = DefaultMaxAtomWidth
@@ -94,7 +88,7 @@ func decomposePlan(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth i
 		return AtomPlan{Atoms: atoms}
 	}
 	if len(ixs)+len(views) > maxWidth {
-		return AtomPlan{Fallback: true}
+		return AtomPlan{Atoms: []*physical.Configuration{cfg}, Fallback: true}
 	}
 	structs := make([]physical.Structure, 0, len(ixs)+len(views))
 	for _, ix := range ixs {
@@ -189,277 +183,4 @@ func tablesSubset(sub, super []string) bool {
 		}
 	}
 	return true
-}
-
-// AtomicCache is the atom store: a sharded memo of (statement, atom) costs
-// consulted by the Cached layer before any direct costing. It reuses the
-// memo cache's key scheme (statement pointer identity + configuration
-// fingerprint) and 64-way sharding, so batch-pool workers contend on
-// per-shard locks only. As in the memo cache, a store that finds its atom
-// already present means the atom was costed twice and charged twice; it is
-// counted on optimizer_duplicate_computations_total, which must stay 0.
-type AtomicCache struct {
-	inner    *Optimizer
-	maxWidth int
-
-	shards  [cacheShards]cacheShard
-	entries atomic.Int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	fallbacks atomic.Int64
-
-	// singletons interns the one-index atoms (keyed by index pointer —
-	// candidate structures are shared across configurations), so the hot
-	// decompose path does not rebuild them per request.
-	singletons sync.Map
-
-	metrics atomic.Pointer[atomMetrics]
-}
-
-// atomMetrics holds the registry handles resolved by SetMetrics.
-type atomMetrics struct {
-	hits    *obs.Counter
-	atoms   *obs.Counter
-	dups    *obs.Counter
-	latency *obs.Histogram
-}
-
-// NewAtomicCache builds an atom store over the optimizer. maxWidth bounds
-// projection-atom width (<= 0 selects DefaultMaxAtomWidth).
-func NewAtomicCache(inner *Optimizer, maxWidth int) *AtomicCache {
-	if maxWidth <= 0 {
-		maxWidth = DefaultMaxAtomWidth
-	}
-	ac := &AtomicCache{inner: inner, maxWidth: maxWidth}
-	for i := range ac.shards {
-		ac.shards[i].table = make(map[cacheKey]float64)
-	}
-	return ac
-}
-
-// SetMetrics exports the atom store's accounting on the registry:
-// optimizer_atom_hits_total (reassemblies served from the store),
-// optimizer_atoms_total (distinct (statement, atom) costings paid),
-// optimizer_duplicate_computations_total (atoms costed twice), and
-// the optimizer_atom_cost_seconds histogram (time spent costing atoms —
-// per atom on the serial path, per dispatched batch on the batch path).
-// Passing nil detaches.
-func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
-	if r == nil {
-		ac.metrics.Store(nil)
-		return
-	}
-	ac.metrics.Store(&atomMetrics{
-		hits:    r.Counter("optimizer_atom_hits_total"),
-		atoms:   r.Counter("optimizer_atoms_total"),
-		dups:    r.Counter("optimizer_duplicate_computations_total"),
-		latency: r.Histogram("optimizer_atom_cost_seconds"),
-	})
-}
-
-// MaxWidth returns the projection-atom width bound.
-func (ac *AtomicCache) MaxWidth() int { return ac.maxWidth }
-
-// Stats reports the store's accounting: atom-store hits, atom costings
-// paid (misses), width-bound fallbacks to direct costing, and the number
-// of distinct atoms stored.
-func (ac *AtomicCache) Stats() (hits, misses, fallbacks int64, entries int) {
-	return ac.hits.Load(), ac.misses.Load(), ac.fallbacks.Load(), int(ac.entries.Load())
-}
-
-// Reset clears the atom store and its counters.
-func (ac *AtomicCache) Reset() {
-	for i := range ac.shards {
-		sh := &ac.shards[i]
-		sh.mu.Lock()
-		sh.table = make(map[cacheKey]float64)
-		sh.mu.Unlock()
-	}
-	ac.entries.Store(0)
-	ac.hits.Store(0)
-	ac.misses.Store(0)
-	ac.fallbacks.Store(0)
-}
-
-// decompose is Decompose with singleton-atom interning.
-func (ac *AtomicCache) decompose(a *sqlparse.Analysis, cfg *physical.Configuration) AtomPlan {
-	return decomposePlan(a, cfg, ac.maxWidth, ac.singleton)
-}
-
-func (ac *AtomicCache) singleton(ix *physical.Index) *physical.Configuration {
-	if v, ok := ac.singletons.Load(ix); ok {
-		return v.(*physical.Configuration)
-	}
-	v, _ := ac.singletons.LoadOrStore(ix, physical.NewConfiguration("atom", ix))
-	return v.(*physical.Configuration)
-}
-
-// Cost evaluates the statement under cfg as the minimum over its atoms'
-// memoized costs. Statements whose projection exceeds the width bound pay
-// one direct what-if call instead.
-func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
-	plan := ac.decompose(a, cfg)
-	if plan.Fallback {
-		ac.fallbacks.Add(1)
-		return ac.inner.Cost(a, cfg)
-	}
-	best := math.Inf(1)
-	for _, atom := range plan.Atoms {
-		if v := ac.atomCost(a, atom); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-func (ac *AtomicCache) lookup(key cacheKey) (float64, bool) {
-	sh := &ac.shards[shardIndex(key)]
-	sh.mu.RLock()
-	v, ok := sh.table[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (ac *AtomicCache) store(key cacheKey, v float64) {
-	sh := &ac.shards[shardIndex(key)]
-	sh.mu.Lock()
-	_, dup := sh.table[key]
-	if !dup {
-		sh.table[key] = v
-		ac.entries.Add(1)
-	}
-	sh.mu.Unlock()
-	if m := ac.metrics.Load(); dup && m != nil {
-		m.dups.Inc()
-	}
-}
-
-// atomCost returns the memoized cost of one (statement, atom) pair,
-// consulting the inner optimizer on a miss.
-func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configuration) float64 {
-	key := cacheKey{a: a, cfg: atom.Fingerprint()}
-	v, ok := ac.lookup(key)
-	m := ac.metrics.Load()
-	if ok {
-		ac.hits.Add(1)
-		if m != nil {
-			m.hits.Inc()
-		}
-		return v
-	}
-	ac.misses.Add(1)
-	if m != nil {
-		m.atoms.Inc()
-		sw := obs.NewStopwatch()
-		v = ac.inner.Cost(a, atom)
-		m.latency.Observe(sw.Elapsed().Seconds())
-	} else {
-		v = ac.inner.Cost(a, atom)
-	}
-	ac.store(key, v)
-	return v
-}
-
-// batchIntoCtx evaluates the (already memo-deduplicated) requests with
-// atom sharing: decompose every request serially in order, dedupe the
-// batch's unseen atoms in first-occurrence order, cost them through the
-// inner batch pool, then reassemble each request's cost as the minimum
-// over its atoms. Hit/miss accounting and inner-call counts are identical
-// to evaluating the requests serially through Cost, at every parallelism
-// level — the cost values themselves are pure, so the result is
-// bit-identical too.
-func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
-	n := len(reqs)
-	plans := make([]AtomPlan, n)
-	have := make(map[cacheKey]float64, n)
-	pending := make(map[cacheKey]int, n)
-	fallbackSlot := make([]int, n)
-	var missing []Request
-	var missingKeys []cacheKey
-	m := ac.metrics.Load()
-	for i, r := range reqs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		plans[i] = ac.decompose(r.Analysis, r.Config)
-		fallbackSlot[i] = -1
-		if plans[i].Fallback {
-			ac.fallbacks.Add(1)
-			fallbackSlot[i] = len(missing)
-			missing = append(missing, r)
-			missingKeys = append(missingKeys, cacheKey{}) // sentinel: not stored
-			continue
-		}
-		for _, atom := range plans[i].Atoms {
-			key := cacheKey{a: r.Analysis, cfg: atom.Fingerprint()}
-			if _, ok := have[key]; ok {
-				ac.hits.Add(1)
-				if m != nil {
-					m.hits.Inc()
-				}
-				continue
-			}
-			if _, ok := pending[key]; ok {
-				ac.hits.Add(1)
-				if m != nil {
-					m.hits.Inc()
-				}
-				continue
-			}
-			if v, ok := ac.lookup(key); ok {
-				ac.hits.Add(1)
-				if m != nil {
-					m.hits.Inc()
-				}
-				have[key] = v
-				continue
-			}
-			ac.misses.Add(1)
-			if m != nil {
-				m.atoms.Inc()
-			}
-			pending[key] = len(missing)
-			missing = append(missing, Request{Analysis: r.Analysis, Config: atom})
-			missingKeys = append(missingKeys, key)
-		}
-	}
-	if len(missing) > 0 {
-		vals := make([]float64, len(missing))
-		var sw obs.Stopwatch
-		if m != nil {
-			sw = obs.NewStopwatch()
-		}
-		if err := ac.inner.BatchIntoCtx(ctx, missing, vals, parallelism); err != nil {
-			return err
-		}
-		if m != nil {
-			m.latency.Observe(sw.Elapsed().Seconds())
-		}
-		for i, key := range missingKeys {
-			if key.a == nil {
-				continue // width-bound fallback: direct result, not an atom
-			}
-			have[key] = vals[i]
-			ac.store(key, vals[i])
-		}
-		for i := range reqs {
-			if s := fallbackSlot[i]; s >= 0 {
-				out[i] = vals[s]
-			}
-		}
-	}
-	for i, r := range reqs {
-		if fallbackSlot[i] >= 0 {
-			continue
-		}
-		best := math.Inf(1)
-		for _, atom := range plans[i].Atoms {
-			if v := have[cacheKey{a: r.Analysis, cfg: atom.Fingerprint()}]; v < best {
-				best = v
-			}
-		}
-		out[i] = best
-	}
-	return nil
 }

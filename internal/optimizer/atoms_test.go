@@ -106,7 +106,7 @@ func TestAtomicCostEquivalence(t *testing.T) {
 					want[i] = direct.Cost(r.Analysis, r.Config)
 				}
 
-				atomic := optimizer.NewCachedAtomic(optimizer.New(sc.cat))
+				atomic := optimizer.NewCached(optimizer.New(sc.cat))
 				got := make([]float64, len(reqs))
 				for i, r := range reqs {
 					got[i] = atomic.Cost(r.Analysis, r.Config)
@@ -119,7 +119,7 @@ func TestAtomicCostEquivalence(t *testing.T) {
 				totalAtomCalls += atomic.Inner().Calls()
 
 				for _, par := range []int{1, 4, 8} {
-					ab := optimizer.NewCachedAtomic(optimizer.New(sc.cat))
+					ab := optimizer.NewCached(optimizer.New(sc.cat))
 					out := make([]float64, len(reqs))
 					ab.BatchInto(reqs, out, par)
 					if !reflect.DeepEqual(want, out) {

@@ -1,9 +1,10 @@
 package optimizer
 
 import (
-	"context"
+	"math"
 	"sync/atomic"
 
+	"physdes/internal/obs"
 	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
@@ -29,15 +30,6 @@ func (o *Optimizer) Batch(reqs []Request, parallelism int) []float64 {
 	return out
 }
 
-// BatchCtx is Batch with cancellation; see BatchIntoCtx.
-func (o *Optimizer) BatchCtx(ctx context.Context, reqs []Request, parallelism int) ([]float64, error) {
-	out := make([]float64, len(reqs))
-	if err := o.BatchIntoCtx(ctx, reqs, out, parallelism); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // BatchInto evaluates reqs[i] into out[i] using up to `parallelism`
 // workers (<= 1, or a batch below the inline threshold, evaluates
 // serially). Each request charges exactly one optimizer call, so the call
@@ -46,19 +38,9 @@ func (o *Optimizer) BatchCtx(ctx context.Context, reqs []Request, parallelism in
 // bit-identical at every parallelism level. Workers only write into their
 // positional slot — order-sensitive reductions belong to the caller.
 func (o *Optimizer) BatchInto(reqs []Request, out []float64, parallelism int) {
-	//physdes:detachedctx compatibility wrapper for pre-cancellation callers; BatchIntoCtx is the cancellable path
-	o.BatchIntoCtx(context.Background(), reqs, out, parallelism) //physdes:errok Background never cancels and ctx.Err is the only error source, so the result is always nil
-}
-
-// BatchIntoCtx is BatchInto with cancellation: once ctx is done no further
-// request is dispatched (in-flight what-if calls run to completion) and
-// the context error is returned — out then holds a mix of computed and
-// untouched slots, and callers must treat the whole batch as abandoned.
-// A nil return means every request was evaluated.
-func (o *Optimizer) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
 	n := len(reqs)
 	if n == 0 {
-		return ctx.Err()
+		return
 	}
 	if len(out) < n {
 		panic("optimizer: BatchInto output slice shorter than request slice")
@@ -71,18 +53,15 @@ func (o *Optimizer) BatchIntoCtx(ctx context.Context, reqs []Request, out []floa
 	}
 	if parallelism <= 1 || n < minParallelBatch {
 		for i, r := range reqs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			out[i] = o.Cost(r.Analysis, r.Config)
 		}
-		return nil
+		return
 	}
 	// claimed tracks pool saturation: batch_inflight is the number of busy
 	// workers at any instant, batch_queue_depth the requests not yet
 	// claimed from the current batch.
 	var claimed atomic.Int64
-	err := par.ForCtx(ctx, n, parallelism, func(i int) {
+	par.For(n, parallelism, func(i int) {
 		if m != nil {
 			m.batchInflight.Add(1)
 			m.batchQueue.Set(float64(n) - float64(claimed.Add(1)))
@@ -95,115 +74,87 @@ func (o *Optimizer) BatchIntoCtx(ctx context.Context, reqs []Request, out []floa
 	if m != nil {
 		m.batchQueue.Set(0)
 	}
-	return err
 }
 
-// Batch evaluates every request through the memo table over a bounded
-// worker pool, returning costs in request order. Hits and misses are
-// accounted per request exactly like a serial loop of Cost calls: before
-// dispatch the batch is resolved against the memo and deduplicated by
-// cache key, so requests aliasing the same (statement, configuration)
-// within one batch charge a single miss — the first occurrence — and the
-// aliases count as hits (see TestCacheBatchAliasAccounting).
+// Batch evaluates every request through the memo over a bounded worker
+// pool, returning costs in request order. See BatchInto for the semantics.
 func (c *Cached) Batch(reqs []Request, parallelism int) []float64 {
 	out := make([]float64, len(reqs))
 	c.BatchInto(reqs, out, parallelism)
 	return out
 }
 
-// BatchInto is Batch writing into a caller-provided slice.
+// BatchInto evaluates reqs[i] into out[i] with atom sharing: decompose
+// every request serially in order, dedupe the batch's unseen atoms in
+// first-occurrence order, cost them through the inner batch pool, then
+// reassemble each request's cost as the minimum over its atoms. A request
+// whose atoms an earlier request of the batch costs counts as a hit, as it
+// would in a serial loop. Hit/miss accounting and inner-call counts are
+// therefore identical to evaluating the requests serially through Cost, at
+// every parallelism level — the cost values themselves are pure, so the
+// result is bit-identical too.
 func (c *Cached) BatchInto(reqs []Request, out []float64, parallelism int) {
-	//physdes:detachedctx compatibility wrapper for pre-cancellation callers; BatchIntoCtx is the cancellable path
-	c.BatchIntoCtx(context.Background(), reqs, out, parallelism) //physdes:errok Background never cancels and ctx.Err is the only error source, so the result is always nil
-}
-
-// BatchIntoCtx is BatchInto with cancellation; see the uncached
-// Optimizer.BatchIntoCtx for the contract.
-func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
 	n := len(reqs)
-	if n == 0 {
-		return ctx.Err()
-	}
 	if len(out) < n {
 		panic("optimizer: BatchInto output slice shorter than request slice")
 	}
 	if parallelism <= 1 || n < minParallelBatch {
 		for i, r := range reqs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			out[i] = c.Cost(r.Analysis, r.Config)
 		}
-		return nil
+		return
 	}
-	// Resolve memo hits and dedupe aliased misses serially before any pool
-	// dispatch: slot[i] is the index of request i's value in the unique
-	// miss list, or -1 when out[i] was already served from the memo.
 	m := c.metrics.Load()
-	slot := make([]int, n)
-	uniqIdx := make(map[cacheKey]int, n)
-	var uniq []Request
-	var uniqKeys []cacheKey
+	plans := make([]AtomPlan, n)
+	// have holds every atom cost the batch reads; the atoms in missing
+	// hold a placeholder until the inner batch returns.
+	have := make(map[cacheKey]float64, n)
+	var missing []Request
+	var missingKeys []cacheKey
 	for i, r := range reqs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		key := cacheKey{a: r.Analysis, cfg: r.Config.Fingerprint()}
-		if u, ok := uniqIdx[key]; ok {
-			// Alias of an in-batch miss: serial evaluation would find the
-			// first occurrence's stored value, so it counts as a hit.
-			slot[i] = u
-			c.hits.Add(1)
-			if m != nil {
-				m.hits.Inc()
+		plans[i] = c.decompose(r.Analysis, r.Config)
+		paid := false
+		for _, atom := range plans[i].Atoms {
+			key := cacheKey{a: r.Analysis, cfg: atom.Fingerprint()}
+			if _, ok := have[key]; ok {
+				c.countAtom(true, m)
+				continue
 			}
-			continue
-		}
-		sh := &c.shards[shardIndex(key)]
-		sh.mu.RLock()
-		v, ok := sh.table[key]
-		sh.mu.RUnlock()
-		if ok {
-			out[i] = v
-			slot[i] = -1
-			c.hits.Add(1)
-			if m != nil {
-				m.hits.Inc()
+			if v, ok := c.lookup(key); ok {
+				c.countAtom(true, m)
+				have[key] = v
+				continue
 			}
-			continue
+			paid = true
+			c.countAtom(false, m)
+			have[key] = 0
+			missing = append(missing, Request{Analysis: r.Analysis, Config: atom})
+			missingKeys = append(missingKeys, key)
 		}
-		c.misses.Add(1)
+		c.countRequest(paid, m)
+	}
+	if len(missing) > 0 {
+		vals := make([]float64, len(missing))
+		var sw obs.Stopwatch
 		if m != nil {
-			m.misses.Inc()
+			sw = obs.NewStopwatch()
 		}
-		slot[i] = len(uniq)
-		uniqIdx[key] = len(uniq)
-		uniq = append(uniq, r)
-		uniqKeys = append(uniqKeys, key)
-	}
-	if len(uniq) == 0 {
-		return nil
-	}
-	vals := make([]float64, len(uniq))
-	var err error
-	if c.atoms != nil {
-		err = c.atoms.batchIntoCtx(ctx, uniq, vals, parallelism)
-	} else {
-		err = c.inner.BatchIntoCtx(ctx, uniq, vals, parallelism)
-	}
-	if err != nil {
-		return err
-	}
-	for u, key := range uniqKeys {
-		c.store(&c.shards[shardIndex(key)], key, vals[u], m)
-	}
-	if m != nil {
-		m.entries.Set(float64(c.entries.Load()))
-	}
-	for i := range reqs {
-		if slot[i] >= 0 {
-			out[i] = vals[slot[i]]
+		c.inner.BatchInto(missing, vals, parallelism)
+		if m != nil {
+			m.latency.Observe(sw.Elapsed().Seconds())
+		}
+		for i, key := range missingKeys {
+			have[key] = vals[i]
+			c.store(key, vals[i], m)
 		}
 	}
-	return nil
+	for i, r := range reqs {
+		best := math.Inf(1)
+		for _, atom := range plans[i].Atoms {
+			if v := have[cacheKey{a: r.Analysis, cfg: atom.Fingerprint()}]; v < best {
+				best = v
+			}
+		}
+		out[i] = best
+	}
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -10,21 +11,26 @@ import (
 	"physdes/internal/sqlparse"
 )
 
-// Cached memoizes what-if calls per (statement, configuration) pair.
-// Tuning tools layer exactly this over the what-if API: a greedy search
-// re-evaluates the same statement under overlapping configurations, and
-// only cache misses pay the optimization cost. Hits are NOT charged to the
-// underlying optimizer's call counter, so the savings are visible in the
-// same accounting the paper uses.
+// Cached memoizes what-if calls with atomic-configuration sharing: each
+// (statement, configuration) request is decomposed into atoms (atoms.go),
+// each (statement, atom) pair is costed once and stored, and the request's
+// cost is reassembled as the minimum over its atoms' stored costs. Only
+// never-seen atoms reach the inner optimizer, so across overlapping
+// configurations the what-if bill shrinks while the costs stay
+// bit-identical to direct costing. A width-bound fallback is a one-atom
+// plan whose atom is the full configuration, so a repeated fallback is
+// charged once too. Stored costs are NOT charged to the inner optimizer's
+// call counter, so the savings are visible in the same accounting the
+// paper uses.
 //
-// Keys combine the statement's pointer identity with the configuration
+// Keys combine the statement's pointer identity with the atom's
 // fingerprint: analyses are immutable once built by the workload package,
 // so pointer identity is a sound statement key within one process. The
 // invariant cuts both ways — two *distinct* parses of the same SQL text
 // are distinct keys and intentionally do not share entries (see
 // TestCacheKeyPointerIdentity).
 //
-// The memo table is sharded so batch-pool workers hammering the cache
+// The table is sharded so batch-pool workers hammering the memo
 // concurrently contend on per-shard locks instead of one global RWMutex.
 // Two racing misses on the same key would both consult the inner optimizer
 // (each charged as a call), making call totals depend on scheduling. The
@@ -34,18 +40,20 @@ import (
 type Cached struct {
 	inner *Optimizer
 
-	// atoms, when non-nil, is consulted on memo misses before direct
-	// costing: the miss is decomposed into atoms (atoms.go) and reassembled
-	// from the atom store, so only never-seen atoms pay inner calls.
-	atoms *AtomicCache
-
 	shards  [cacheShards]cacheShard
 	entries atomic.Int64
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	// hits and misses count requests: a hit paid no inner call, a miss
+	// paid at least one. atomHits and atoms count the atoms those requests
+	// found stored and the atoms they costed.
+	hits, misses, atomHits, atoms, fallbacks atomic.Int64
 
-	metrics atomic.Pointer[cacheMetrics]
+	// singletons interns the one-index atoms (keyed by index pointer —
+	// candidate structures are shared across configurations), so the hot
+	// decompose path does not rebuild them per request.
+	singletons sync.Map
+
+	metrics atomic.Pointer[memoMetrics]
 }
 
 // cacheShards is the shard count: far above any realistic worker count so
@@ -58,12 +66,11 @@ type cacheShard struct {
 	table map[cacheKey]float64
 }
 
-// cacheMetrics holds the registry handles resolved by SetMetrics.
-type cacheMetrics struct {
-	hits    *obs.Counter
-	misses  *obs.Counter
-	dups    *obs.Counter
-	entries *obs.Gauge
+// memoMetrics holds the registry handles resolved by SetMetrics.
+type memoMetrics struct {
+	hits, misses, atomHits, atoms, dups *obs.Counter
+	entries                             *obs.Gauge
+	latency                             *obs.Histogram
 }
 
 // cacheKey is comparable: two keys are equal iff they hold the same
@@ -95,7 +102,7 @@ func shardIndex(key cacheKey) int {
 	return int(h & (cacheShards - 1))
 }
 
-// NewCached wraps an optimizer with a memo table.
+// NewCached wraps an optimizer with the atom memo.
 func NewCached(inner *Optimizer) *Cached {
 	c := &Cached{inner: inner}
 	for i := range c.shards {
@@ -104,78 +111,91 @@ func NewCached(inner *Optimizer) *Cached {
 	return c
 }
 
-// NewCachedAtomic wraps an optimizer with the memo table plus the
-// atomic-configuration sharing layer: memo misses are decomposed into
-// atoms and reassembled from the atom store (see atoms.go), so across
-// overlapping configurations only never-seen atoms pay inner optimizer
-// calls. Costs are bit-identical to NewCached — only the call accounting
-// shrinks.
-func NewCachedAtomic(inner *Optimizer) *Cached {
-	c := NewCached(inner)
-	c.atoms = NewAtomicCache(inner, DefaultMaxAtomWidth)
-	return c
-}
-
-// Atoms returns the atom store, or nil when atom sharing is disabled.
-func (c *Cached) Atoms() *AtomicCache { return c.atoms }
-
-// SetMetrics exports the cache's hit/miss accounting on the registry:
-// optimizer_cache_hits_total, optimizer_cache_misses_total, the
-// optimizer_cache_entries gauge and the
-// optimizer_duplicate_computations_total invariant. When atom sharing is
-// enabled the atom store's metrics are attached too. Passing nil detaches.
+// SetMetrics exports the memo's accounting on the registry:
+// optimizer_cache_hits_total and optimizer_cache_misses_total (requests
+// answered without and with an inner what-if call), the
+// optimizer_cache_entries gauge (stored atoms),
+// optimizer_atom_hits_total (atoms found stored), optimizer_atoms_total
+// (atoms costed), the optimizer_atom_cost_seconds histogram (time spent
+// costing atoms — per atom on the serial path, per dispatched batch on the
+// batch path) and the optimizer_duplicate_computations_total invariant.
+// Passing nil detaches.
 func (c *Cached) SetMetrics(r *obs.Registry) {
-	if c.atoms != nil {
-		c.atoms.SetMetrics(r)
-	}
 	if r == nil {
 		c.metrics.Store(nil)
 		return
 	}
-	c.metrics.Store(&cacheMetrics{
-		hits:    r.Counter("optimizer_cache_hits_total"),
-		misses:  r.Counter("optimizer_cache_misses_total"),
-		dups:    r.Counter("optimizer_duplicate_computations_total"),
-		entries: r.Gauge("optimizer_cache_entries"),
+	c.metrics.Store(&memoMetrics{
+		hits:     r.Counter("optimizer_cache_hits_total"),
+		misses:   r.Counter("optimizer_cache_misses_total"),
+		atomHits: r.Counter("optimizer_atom_hits_total"),
+		atoms:    r.Counter("optimizer_atoms_total"),
+		dups:     r.Counter("optimizer_duplicate_computations_total"),
+		entries:  r.Gauge("optimizer_cache_entries"),
+		latency:  r.Histogram("optimizer_atom_cost_seconds"),
 	})
 }
 
-// Cost returns the memoized cost, consulting the underlying optimizer on a
-// miss.
+// decompose is Decompose with singleton-atom interning; it counts
+// width-bound fallbacks.
+func (c *Cached) decompose(a *sqlparse.Analysis, cfg *physical.Configuration) AtomPlan {
+	plan := decomposePlan(a, cfg, DefaultMaxAtomWidth, c.singleton)
+	if plan.Fallback {
+		c.fallbacks.Add(1)
+	}
+	return plan
+}
+
+func (c *Cached) singleton(ix *physical.Index) *physical.Configuration {
+	if v, ok := c.singletons.Load(ix); ok {
+		return v.(*physical.Configuration)
+	}
+	v, _ := c.singletons.LoadOrStore(ix, physical.NewConfiguration("atom", ix))
+	return v.(*physical.Configuration)
+}
+
+// Cost evaluates the statement under cfg as the minimum over its atoms'
+// memoized costs, consulting the inner optimizer for atoms not yet stored.
 func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
-	key := cacheKey{a: a, cfg: cfg.Fingerprint()}
+	m := c.metrics.Load()
+	best, paid := math.Inf(1), false
+	for _, atom := range c.decompose(a, cfg).Atoms {
+		key := cacheKey{a: a, cfg: atom.Fingerprint()}
+		v, ok := c.lookup(key)
+		if ok {
+			c.countAtom(true, m)
+		} else {
+			paid = true
+			c.countAtom(false, m)
+			if m != nil {
+				sw := obs.NewStopwatch()
+				v = c.inner.Cost(a, atom)
+				m.latency.Observe(sw.Elapsed().Seconds())
+			} else {
+				v = c.inner.Cost(a, atom)
+			}
+			c.store(key, v, m)
+		}
+		if v < best {
+			best = v
+		}
+	}
+	c.countRequest(paid, m)
+	return best
+}
+
+func (c *Cached) lookup(key cacheKey) (float64, bool) {
 	sh := &c.shards[shardIndex(key)]
 	sh.mu.RLock()
 	v, ok := sh.table[key]
 	sh.mu.RUnlock()
-	m := c.metrics.Load()
-	if ok {
-		c.hits.Add(1)
-		if m != nil {
-			m.hits.Inc()
-		}
-		return v
-	}
-	c.misses.Add(1)
-	if m != nil {
-		m.misses.Inc()
-	}
-	if c.atoms != nil {
-		v = c.atoms.Cost(a, cfg)
-	} else {
-		v = c.inner.Cost(a, cfg)
-	}
-	c.store(sh, key, v, m)
-	if m != nil {
-		m.entries.Set(float64(c.entries.Load()))
-	}
-	return v
+	return v, ok
 }
 
-// store memoizes a computed miss in its shard sh; finding the key already
-// present means it was computed twice (see
-// optimizer_duplicate_computations_total).
-func (c *Cached) store(sh *cacheShard, key cacheKey, v float64, m *cacheMetrics) {
+// store memoizes a computed atom; finding the key already present means it
+// was computed twice (see optimizer_duplicate_computations_total).
+func (c *Cached) store(key cacheKey, v float64, m *memoMetrics) {
+	sh := &c.shards[shardIndex(key)]
 	sh.mu.Lock()
 	_, dup := sh.table[key]
 	if !dup {
@@ -183,24 +203,65 @@ func (c *Cached) store(sh *cacheShard, key cacheKey, v float64, m *cacheMetrics)
 		c.entries.Add(1)
 	}
 	sh.mu.Unlock()
-	if dup && m != nil {
-		m.dups.Inc()
+	if m != nil {
+		if dup {
+			m.dups.Inc()
+		}
+		m.entries.Set(float64(c.entries.Load()))
 	}
 }
 
-// Stats reports the cache's accounting in one call: hits, misses and the
-// current memo-table size.
+// countAtom accounts one atom of a request: stored (hit) or costed.
+func (c *Cached) countAtom(hit bool, m *memoMetrics) {
+	if hit {
+		c.atomHits.Add(1)
+		if m != nil {
+			m.atomHits.Inc()
+		}
+		return
+	}
+	c.atoms.Add(1)
+	if m != nil {
+		m.atoms.Inc()
+	}
+}
+
+// countRequest accounts one request: a miss when it paid an inner call.
+func (c *Cached) countRequest(paid bool, m *memoMetrics) {
+	if paid {
+		c.misses.Add(1)
+		if m != nil {
+			m.misses.Inc()
+		}
+		return
+	}
+	c.hits.Add(1)
+	if m != nil {
+		m.hits.Inc()
+	}
+}
+
+// Stats reports the memo's request accounting in one call: hits (requests
+// that paid no inner call), misses (requests that paid at least one) and
+// the number of stored atoms.
 func (c *Cached) Stats() (hits, misses int64, entries int) {
 	return c.hits.Load(), c.misses.Load(), c.Entries()
 }
 
-// Hits returns the number of calls served from the memo table.
+// AtomStats reports the per-atom accounting: atoms found stored, atoms
+// costed, and requests that fell back to their full configuration as the
+// one atom.
+func (c *Cached) AtomStats() (hits, atoms, fallbacks int64) {
+	return c.atomHits.Load(), c.atoms.Load(), c.fallbacks.Load()
+}
+
+// Hits returns the number of requests that paid no inner call.
 func (c *Cached) Hits() int64 { return c.hits.Load() }
 
-// Misses returns the number of calls forwarded to the optimizer.
+// Misses returns the number of requests that paid at least one inner call.
 func (c *Cached) Misses() int64 { return c.misses.Load() }
 
-// Entries returns the memo table size (summed across shards).
+// Entries returns the number of stored atoms (summed across shards).
 func (c *Cached) Entries() int { return int(c.entries.Load()) }
 
 // Inner returns the wrapped optimizer (for call accounting).
@@ -216,10 +277,8 @@ func (c *Cached) Reset() {
 		sh.mu.Unlock()
 	}
 	c.entries.Store(0)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	if c.atoms != nil {
-		c.atoms.Reset()
+	for _, n := range []*atomic.Int64{&c.hits, &c.misses, &c.atomHits, &c.atoms, &c.fallbacks} {
+		n.Store(0)
 	}
 	if m := c.metrics.Load(); m != nil {
 		m.entries.Set(0)

@@ -10,8 +10,7 @@ import (
 )
 
 // TestCacheKeyPointerIdentity pins the cacheKey semantics the sharded
-// rewrite must preserve: keys are (Analysis pointer, configuration
-// fingerprint) pairs, equal exactly when both components match. Two
+// memo relies on: keys are (Analysis pointer, atom fingerprint) pairs, equal exactly when both components match. Two
 // distinct parses of the same SQL text are distinct keys by design.
 func TestCacheKeyPointerIdentity(t *testing.T) {
 	a1 := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
@@ -39,11 +38,12 @@ func TestCacheKeyPointerIdentity(t *testing.T) {
 }
 
 // TestCacheBatchAliasAccounting extends TestCacheKeyPointerIdentity to the
-// batched path: requests aliasing the same (analysis, config) key within
+// batched path: requests aliasing the same (analysis, config) pair within
 // one parallel batch must charge exactly one miss (the first occurrence)
 // with the aliases counted as hits — the same accounting a serial loop of
-// Cost calls produces. Before the dedupe-before-dispatch fix, aliased
-// requests raced to miss independently and each paid an inner call.
+// Cost calls produces — and each atom must be costed once. Before the
+// dedupe-before-dispatch fix, aliased requests raced to miss independently
+// and each paid inner calls.
 func TestCacheBatchAliasAccounting(t *testing.T) {
 	const distinct = 16
 	analyses := make([]*sqlparse.Analysis, distinct)
@@ -54,6 +54,9 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 	cfg := physical.NewConfiguration("ix",
 		physical.NewIndex("lineitem", []string{"l_orderkey"}))
 
+	// Each statement reads two atoms of cfg: the empty (heap-scan) atom and
+	// the l_orderkey singleton.
+	const atomsPer = 2
 	// Interleave two aliases of every key so the batch (32 requests) crosses
 	// the pool threshold and each key appears twice.
 	reqs := make([]Request, 0, 2*distinct)
@@ -88,19 +91,19 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 		if misses != distinct {
 			t.Errorf("par=%d: misses = %d, want %d (one per distinct key)", par, misses, distinct)
 		}
-		if entries != distinct {
-			t.Errorf("par=%d: entries = %d, want %d", par, entries, distinct)
+		if entries != atomsPer*distinct {
+			t.Errorf("par=%d: entries = %d, want %d", par, entries, atomsPer*distinct)
 		}
-		if calls := c.Inner().Calls(); calls != distinct {
+		if calls := c.Inner().Calls(); calls != atomsPer*distinct {
 			t.Errorf("par=%d: inner optimizer charged %d calls, want %d — aliased requests double-counted",
-				par, calls, distinct)
+				par, calls, atomsPer*distinct)
 		}
 	}
 }
 
 // TestCachedSameFingerprintSharesEntry is the flip side of pointer-identity
 // statement keys: two distinct *Configuration values built from the same
-// structures share a fingerprint, hence a cache entry.
+// structures share a fingerprint, hence their atoms' entries.
 func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 	c := NewCached(New(testCat))
 	a := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
@@ -116,18 +119,18 @@ func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 	if va, vb := c.Cost(a, cfgA), c.Cost(a, cfgB); va != vb {
 		t.Errorf("shared entry returned different values: %v vs %v", va, vb)
 	}
-	if h, m, e := c.Stats(); h != 1 || m != 1 || e != 1 {
-		t.Errorf("hits/misses/entries = %d/%d/%d, want 1/1/1", h, m, e)
+	if h, m, e := c.Stats(); h != 1 || m != 1 || e != 2 {
+		t.Errorf("hits/misses/entries = %d/%d/%d, want 1/1/2 (empty and l_orderkey atoms)", h, m, e)
 	}
 }
 
 // TestCachedShardedStorm hammers the sharded memo table from many
-// goroutines with a mixed hit/miss workload: half the key grid is
+// goroutines with a mixed hit/miss workload: half the request grid is
 // pre-warmed (guaranteed hits), the other half races to fill. The
 // accounting must balance exactly — every request is either a hit or a
-// miss — the table must end with exactly one entry per distinct key, and
+// miss — the table must end with exactly one entry per distinct atom, and
 // every value must match a serial reference. Under -race this doubles as
-// the cache's data-race exercise.
+// the memo's data-race exercise.
 func TestCachedShardedStorm(t *testing.T) {
 	c := NewCached(New(testCat))
 
@@ -144,6 +147,10 @@ func TestCachedShardedStorm(t *testing.T) {
 		physical.NewConfiguration("ix3", physical.NewIndex("lineitem", []string{"l_orderkey", "l_quantity"})),
 	}
 	distinct := nStatements * len(configs)
+	// Each statement reads three distinct atoms over the grid: the empty
+	// atom and the l_orderkey and (l_orderkey, l_quantity) singletons; the
+	// l_quantity index serves no arm of the plan.
+	distinctAtoms := 3 * nStatements
 
 	// Serial reference values, computed on a separate cache so the storm
 	// cache's counters start clean.
@@ -203,15 +210,17 @@ func TestCachedShardedStorm(t *testing.T) {
 	if hits+misses != total {
 		t.Errorf("hits(%d) + misses(%d) = %d, want %d requests", hits, misses, hits+misses, total)
 	}
-	if entries != distinct {
-		t.Errorf("entries = %d, want %d distinct keys", entries, distinct)
+	if entries != distinctAtoms {
+		t.Errorf("entries = %d, want %d distinct atoms", entries, distinctAtoms)
 	}
-	// Racing first-misses on a cold key may each consult the inner
-	// optimizer, so misses can exceed the distinct-key count — but never
-	// the theoretical worst case of every worker missing every cold key
-	// once plus the warm-up, and never fewer than one per distinct key.
-	if misses < int64(distinct) || misses > warmMisses+int64(workers*distinct/2) {
+	// Racing first-misses on a cold atom may each consult the inner
+	// optimizer, so misses can exceed the serial count — but never the
+	// theoretical worst case of every worker missing every cold request
+	// once plus the warm-up. Each statement's two index atoms are read only
+	// through their own configuration, so at least two requests per
+	// statement pay.
+	if misses < int64(2*nStatements) || misses > warmMisses+int64(workers*distinct/2) {
 		t.Errorf("misses = %d outside plausible range [%d, %d]",
-			misses, distinct, warmMisses+int64(workers*distinct/2))
+			misses, 2*nStatements, warmMisses+int64(workers*distinct/2))
 	}
 }

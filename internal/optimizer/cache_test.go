@@ -22,14 +22,20 @@ func TestCachedOptimizer(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
 	}
-	// Only the miss reached the optimizer.
-	if inner.Calls() != 1 {
-		t.Errorf("inner calls = %d, want 1", inner.Calls())
+	// Only the miss reached the optimizer, once per atom: the empty
+	// (heap-scan) atom and the l_orderkey singleton.
+	if inner.Calls() != 2 || c.Entries() != 2 {
+		t.Errorf("inner calls = %d, entries = %d, want 2/2", inner.Calls(), c.Entries())
 	}
-	// Different configuration: miss.
+	// A configuration whose only atom is stored: hit.
 	c.Cost(a, physical.NewConfiguration("empty"))
-	if c.Misses() != 2 || c.Entries() != 2 {
-		t.Errorf("misses=%d entries=%d", c.Misses(), c.Entries())
+	if c.Hits() != 2 || c.Misses() != 1 {
+		t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits(), c.Misses())
+	}
+	// A configuration with a new readable index: miss, one new atom.
+	c.Cost(a, physical.NewConfiguration("ix2", physical.NewIndex("lineitem", []string{"l_orderkey", "l_quantity"})))
+	if c.Misses() != 2 || c.Entries() != 3 {
+		t.Errorf("misses=%d entries=%d, want 2/3", c.Misses(), c.Entries())
 	}
 	// Same statement text but a different Analysis value: statement keys
 	// are pointer identities, so this is a (sound, conservative) miss.
@@ -48,7 +54,7 @@ func TestCachedOptimizer(t *testing.T) {
 }
 
 // TestCachedOptimizerMetrics checks the registry export: hit/miss
-// counters and the entries gauge track the cache's own accounting, and
+// counters and the entries gauge track the memo's own accounting, and
 // the wrapped optimizer's call counter only moves on misses.
 func TestCachedOptimizerMetrics(t *testing.T) {
 	inner := New(testCat)
@@ -70,16 +76,16 @@ func TestCachedOptimizerMetrics(t *testing.T) {
 	if snap.Counters["optimizer_cache_misses_total"] != 1 {
 		t.Errorf("misses counter = %d, want 1", snap.Counters["optimizer_cache_misses_total"])
 	}
-	if snap.Gauges["optimizer_cache_entries"] != 1 {
-		t.Errorf("entries gauge = %v, want 1", snap.Gauges["optimizer_cache_entries"])
+	if snap.Gauges["optimizer_cache_entries"] != 2 {
+		t.Errorf("entries gauge = %v, want 2 atoms", snap.Gauges["optimizer_cache_entries"])
 	}
-	// Hits never reach the wrapped optimizer: one call total.
-	if snap.Counters["optimizer_calls_total"] != 1 {
-		t.Errorf("optimizer_calls_total = %d, want 1", snap.Counters["optimizer_calls_total"])
+	// Hits never reach the wrapped optimizer: one call per atom of the miss.
+	if snap.Counters["optimizer_calls_total"] != 2 {
+		t.Errorf("optimizer_calls_total = %d, want 2", snap.Counters["optimizer_calls_total"])
 	}
 	hits, misses, entries := c.Stats()
-	if hits != 2 || misses != 1 || entries != 1 {
-		t.Errorf("Stats() = %d/%d/%d, want 2/1/1", hits, misses, entries)
+	if hits != 2 || misses != 1 || entries != 2 {
+		t.Errorf("Stats() = %d/%d/%d, want 2/1/2", hits, misses, entries)
 	}
 	c.Reset()
 	if reg.Snapshot().Gauges["optimizer_cache_entries"] != 0 {

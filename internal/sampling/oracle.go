@@ -192,7 +192,7 @@ func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
 }
 
 // SharedOracle evaluates costs through a memoized optimizer with
-// atomic-configuration sharing (optimizer.NewCachedAtomic): each request is
+// atomic-configuration sharing (optimizer.NewCached): each request is
 // decomposed into the atomic sub-configurations the plan can read, only
 // never-seen (query, atom) pairs reach the what-if optimizer, and the
 // values are bit-identical to LiveOracle's. Calls() reports the inner
@@ -205,9 +205,7 @@ type SharedOracle struct {
 	Configs  []*physical.Configuration
 }
 
-// NewSharedOracle builds a shared oracle over a memoized optimizer
-// (typically optimizer.NewCachedAtomic; a plain NewCached works too and
-// shares only exact-pair repeats).
+// NewSharedOracle builds a shared oracle over an atom memo.
 func NewSharedOracle(c *optimizer.Cached, w *workload.Workload, configs []*physical.Configuration) *SharedOracle {
 	return &SharedOracle{C: c, Workload: w, Configs: configs}
 }
@@ -223,12 +221,12 @@ func (o *SharedOracle) N() int { return o.Workload.Size() }
 // K implements Oracle.
 func (o *SharedOracle) K() int { return len(o.Configs) }
 
-// Calls implements Oracle. Only cache/atom-store misses reach the inner
-// optimizer, so this counter is what the sharing saves.
+// Calls implements Oracle. Only atoms missing from the memo reach the
+// inner optimizer, so this counter is what the sharing saves.
 func (o *SharedOracle) Calls() int64 { return o.C.Inner().Calls() }
 
-// BatchCost implements BatchOracle through the memo layer's deduplicating
-// batch path; values and accounting match serial Cost at every parallelism.
+// BatchCost implements BatchOracle through the memo's deduplicating batch
+// path; values and accounting match serial Cost at every parallelism.
 // A serial batch is that same Cost loop, run without building requests.
 func (o *SharedOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
 	if parallelism <= 1 {

@@ -101,13 +101,15 @@ type (
 	SampledTunerOptions = tuner.SampledOptions
 	// SampledTunerResult reports a sampling-based tuning run.
 	SampledTunerResult = tuner.SampledResult
-	// CachedOptimizer memoizes what-if calls in a sharded concurrent memo
-	// table safe for batch-pool workers.
+	// CachedOptimizer memoizes what-if calls per (statement, atom) in a
+	// sharded concurrent memo table safe for batch-pool workers (see
+	// NewAtomicOptimizer).
 	CachedOptimizer = optimizer.Cached
 	// BatchRequest is one (statement, configuration) item of a batched
 	// what-if evaluation (Optimizer.Batch / CachedOptimizer.Batch): the
 	// batch fans out over a bounded worker pool and returns costs in
-	// request order, charging one optimizer call per request.
+	// request order. Optimizer.Batch charges one optimizer call per
+	// request; CachedOptimizer.Batch charges one per atom not yet stored.
 	BatchRequest = optimizer.Request
 	// Tracer fans structured selection events out to its sinks
 	// (Options.Tracer); the canonical sink writes JSONL.
@@ -207,18 +209,15 @@ func CRMCatalog() *Catalog { return catalog.CRM() }
 // NewOptimizer returns a what-if optimizer over the catalog.
 func NewOptimizer(cat *Catalog) *Optimizer { return optimizer.New(cat) }
 
-// NewCachedOptimizer wraps an optimizer with a per-(statement,
-// configuration) memo table, as tuning tools layer over the what-if API;
-// hits are not charged to the wrapped optimizer's call counter.
-func NewCachedOptimizer(opt *Optimizer) *CachedOptimizer { return optimizer.NewCached(opt) }
-
-// NewAtomicOptimizer wraps an optimizer with the memo table plus
-// atomic-configuration what-if sharing: cache misses are decomposed into
-// the atomic sub-configurations the plan can read, each (statement, atom)
-// pair is costed once, and full-configuration costs are reassembled
-// exactly — bit-identical to direct costing with far fewer optimizer calls
-// across overlapping configurations.
-func NewAtomicOptimizer(opt *Optimizer) *CachedOptimizer { return optimizer.NewCachedAtomic(opt) }
+// NewAtomicOptimizer wraps an optimizer with atomic-configuration what-if
+// sharing, as tuning tools layer over the what-if API: each request is
+// decomposed into the atomic sub-configurations the plan can read, each
+// (statement, atom) pair is costed once and memoized, and
+// full-configuration costs are reassembled exactly — bit-identical to
+// direct costing with far fewer optimizer calls across overlapping
+// configurations. Memo hits are not charged to the wrapped optimizer's
+// call counter.
+func NewAtomicOptimizer(opt *Optimizer) *CachedOptimizer { return optimizer.NewCached(opt) }
 
 // DecomposeAtoms splits the evaluation of a statement under cfg into atoms
 // whose cost minimum reproduces the direct cost exactly; maxWidth <= 0

@@ -121,7 +121,7 @@ func TestPublicCRMAndCachedOptimizer(t *testing.T) {
 		t.Fatalf("size = %d", wl.Size())
 	}
 	opt := NewOptimizer(cat)
-	cached := NewCachedOptimizer(opt)
+	cached := NewAtomicOptimizer(opt)
 	cfg := NewConfiguration("empty")
 	v1 := cached.Cost(wl.Queries[0].Analysis, cfg)
 	v2 := cached.Cost(wl.Queries[0].Analysis, cfg)
