@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-parallel bench-atoms bench-warmstart bench-serve experiments experiments-paper cover clean
+.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-atoms bench-warmstart bench-serve experiments experiments-paper cover clean
 
 all: build vet lint test
 
@@ -59,10 +59,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Speedup curve of the batched what-if layer (BENCH_parallel.json).
-bench-parallel:
-	$(GO) run ./cmd/benchrunner -exp parallel -json BENCH_parallel.json
 
 # Atomic what-if sharing: call reduction on the Table 2 candidate spaces
 # (BENCH_atoms.json).

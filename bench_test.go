@@ -213,11 +213,12 @@ func BenchmarkCLTSkewBound(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectParallel measures the batched what-if layer's call
-// throughput at fixed worker counts: the same fine-stratified TPC-D
-// selection in fixed-budget mode (every run spends the same optimizer
-// calls), so calls/s differences are pure pool speedup. Mirrors the
-// benchrunner's `-exp parallel` experiment.
+// BenchmarkSelectParallel is the batch pool's speedup curve: the same
+// fine-stratified TPC-D selection in fixed-budget mode at each worker
+// count, so every run spends the same calls and returns the same
+// Selection (TestSelectParallelDeterminism). The calls counted are the
+// inner what-if calls the atom memo made, so calls/s and ns/call include
+// the memo's lookups and are not raw what-if throughput.
 func BenchmarkSelectParallel(b *testing.B) {
 	benchSetup(b)
 	configs := GenerateConfigurations(benchTPCD.Cat, benchTPCD.Candidates, 16, 18,

@@ -3,14 +3,18 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|parallel|atoms|drift]
+//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|atoms|drift|serve]
 //	            [-quick|-paper] [-seed N] [-repeats N]
 //	            [-profile cpu.pprof] [-heap-profile heap.pprof] [-metrics]
-//	            [-parallelism N] [-json BENCH_parallel.json] [-listen 127.0.0.1:6060]
+//	            [-json FILE] [-listen 127.0.0.1:6060]
 //
 // Quick mode (default) uses reduced workload sizes and Monte-Carlo repeat
 // counts so the full suite finishes in minutes; -paper switches to the
 // paper's sizes (13K/6K queries, 5000 repeats, k up to 500).
+//
+// -json writes the artifact of a single experiment — atoms
+// (BENCH_atoms.json), serve (BENCH_serve.json) or drift
+// (BENCH_warmstart.json); with any other -exp it is an error.
 //
 // -profile records a CPU profile of the whole run (and -heap-profile a
 // heap profile at exit) for `go tool pprof`; -metrics attaches a registry
@@ -27,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -39,17 +42,16 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, parallel, atoms, drift)")
-		paper       = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		repeats     = flag.Int("repeats", 0, "override Monte-Carlo repeats")
-		csvDir      = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
-		profile     = flag.String("profile", "", "write a CPU profile of the run to this file")
-		heap        = flag.String("heap-profile", "", "write a heap profile at exit to this file")
-		metrics     = flag.Bool("metrics", false, "print the metrics registry (Prometheus text format) on stderr at exit")
-		parallelism = flag.Int("parallelism", 0, "max worker count for the parallel experiment's sweep (0: all cores)")
-		jsonOut     = flag.String("json", "", "write the parallel experiment's speedup curve as JSON to this file")
-		listen      = flag.String("listen", "", "serve live introspection HTTP (/healthz, /metrics, /debug/pprof) on this address while the run executes")
+		exp     = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, atoms, drift, serve)")
+		paper   = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		repeats = flag.Int("repeats", 0, "override Monte-Carlo repeats")
+		csvDir  = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
+		profile = flag.String("profile", "", "write a CPU profile of the run to this file")
+		heap    = flag.String("heap-profile", "", "write a heap profile at exit to this file")
+		metrics = flag.Bool("metrics", false, "print the metrics registry (Prometheus text format) on stderr at exit")
+		jsonOut = flag.String("json", "", "write the experiment's rows as JSON to this file (only with -exp atoms, serve or drift)")
+		listen  = flag.String("listen", "", "serve live introspection HTTP (/healthz, /metrics, /debug/pprof) on this address while the run executes")
 	)
 	flag.Parse()
 
@@ -94,7 +96,7 @@ func main() {
 	// The suite runs in a goroutine so an interrupt can cut it short while
 	// profiles and metrics below still finalize before exit.
 	errc := make(chan error, 1)
-	go func() { errc <- run(*exp, p, *csvDir, reg, *parallelism, *jsonOut) }()
+	go func() { errc <- run(*exp, p, *csvDir, reg, *jsonOut) }()
 	var err error
 	select {
 	case err = <-errc:
@@ -130,7 +132,10 @@ func main() {
 	}
 }
 
-func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, parallelism int, jsonOut string) error {
+func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jsonOut string) error {
+	if jsonOut != "" && exp != "atoms" && exp != "serve" && exp != "drift" {
+		return fmt.Errorf("-json is only written by -exp atoms, serve or drift, not %q", exp)
+	}
 	writeCSV := func(name string, fn func() error) {
 		if csvDir == "" {
 			return
@@ -146,7 +151,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 	var tpcd, crm *experiments.Scenario
 	needTPCD := all || exp == "fig1" || exp == "fig2" || exp == "fig3" ||
 		exp == "table2" || exp == "sec73" || exp == "elim" || exp == "stability" ||
-		exp == "batching" || exp == "scaling" || exp == "parallel" || exp == "atoms"
+		exp == "batching" || exp == "scaling" || exp == "atoms"
 	needCRM := all || exp == "fig4" || exp == "table3"
 
 	var err error
@@ -315,28 +320,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 		}
 		fmt.Fprintln(out)
 	}
-	if all || exp == "parallel" {
-		if parallelism <= 0 {
-			parallelism = runtime.GOMAXPROCS(0)
-		}
-		rows, err := experiments.ParallelSpeedup(tpcd, experiments.WorkerSweep(parallelism), 3, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "Batched what-if evaluation: call throughput by worker count")
-		fmt.Fprintln(out, "(fine-stratified Delta selection, fixed 20K-call budget, bit-identical results)")
-		for _, r := range rows {
-			fmt.Fprintf(out, "  workers=%-3d calls=%-6d elapsed=%6.1fms  %9.0f calls/s  %6.0f ns/call  speedup=%.2fx\n",
-				r.Workers, r.Calls, r.ElapsedMS, r.CallsPerSec, r.NsPerCall, r.Speedup)
-		}
-		if jsonOut != "" {
-			if err := experiments.WriteParallelJSON(jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote speedup curve to %s\n", jsonOut)
-		}
-		fmt.Fprintln(out)
-	}
 	if all || exp == "atoms" {
 		ks := []int{50, 200, 500}
 		rows, err := experiments.AtomSharing(tpcd, ks, p)
@@ -349,7 +332,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 			fmt.Fprintf(out, "  k=%-4d queries=%-5d pairs=%-8d direct=%-8d shared=%-7d reduction=%5.1fx  atoms=%-6d hits=%-8d fallbacks=%d\n",
 				r.K, r.Queries, r.Pairs, r.DirectCalls, r.SharedCalls, r.Reduction, r.Atoms, r.AtomHits, r.Fallbacks)
 		}
-		if jsonOut != "" && exp == "atoms" {
+		if jsonOut != "" {
 			if err := experiments.WriteAtomsJSON(jsonOut, rows); err != nil {
 				return err
 			}
@@ -384,7 +367,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 		if err := experiments.PrintWarmstart(out, rows); err != nil {
 			return err
 		}
-		if jsonOut != "" && exp == "drift" {
+		if jsonOut != "" {
 			if err := experiments.WriteWarmstartJSON(jsonOut, rows); err != nil {
 				return err
 			}
@@ -406,7 +389,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 	}
 	if !all {
 		switch exp {
-		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "parallel", "atoms", "drift", "serve":
+		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "atoms", "drift", "serve":
 		default:
 			return fmt.Errorf("unknown experiment %q", exp)
 		}

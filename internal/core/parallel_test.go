@@ -43,10 +43,11 @@ func crmScenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer,
 // to the serial run — same Best, same Pr(CS) down to the last float bit,
 // same call accounting, strata, splits, eliminations and Pr(CS) trace —
 // across both sampling schemes, both stratification modes of interest, and
-// both workloads. It must hold with and without atom sharing, retries,
-// injected faults, degradation and warm state too: there the resilience
-// counters (OracleRetries, OracleFaults, DegradedQueries) must match as
-// well, and the memo layers must never cost a key twice.
+// both workloads. It must hold under retries, injected faults, degradation
+// and warm state too, both through the atom memo and through the
+// one-call-per-probe directOracle: there the resilience counters
+// (OracleRetries, OracleFaults, DegradedQueries) must match as well, and
+// the memo must never cost a key twice.
 func TestSelectParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -161,15 +162,18 @@ func TestSelectParallelDeterminism(t *testing.T) {
 			o.WrapOracle = faulty(faultinject.Options{Seed: 17, TransientRate: 0.05})
 		}},
 	}
-	for _, sharing := range []AtomSharingMode{AtomSharingEnabled, AtomSharingDisabled} {
-		sharingName := map[AtomSharingMode]string{AtomSharingEnabled: "atoms", AtomSharingDisabled: "direct"}[sharing]
+	for _, oracleName := range []string{"atoms", "direct"} {
 		for _, rc := range resCases {
-			t.Run("tpcd/"+sharingName+"/"+rc.name, func(t *testing.T) {
+			t.Run("tpcd/"+oracleName+"/"+rc.name, func(t *testing.T) {
 				base := Options{Scheme: rc.scheme, Strat: sampling.Progressive, Seed: 11,
-					TracePrCS: true, AtomSharing: sharing}
+					TracePrCS: true}
 				if rc.apply != nil {
 					rc.apply(&base)
-				} else {
+				}
+				if oracleName == "direct" {
+					base.WrapOracle = withDirect(directOracle{opt, w, space}, base.WrapOracle)
+				}
+				if rc.apply == nil {
 					prior := base
 					prior.Seed, prior.CaptureState, prior.Parallelism = 12, true, 1
 					sel, err := Select(opt, w, space, prior)

@@ -26,26 +26,6 @@ import (
 	"physdes/internal/workload"
 )
 
-// AtomSharingMode selects whether the live what-if oracle shares
-// atomic-configuration costs across the candidate set (see
-// internal/optimizer/atoms.go). The zero value enables sharing, so plain
-// Options{} and DefaultOptions get the cheaper oracle automatically.
-type AtomSharingMode int
-
-const (
-	// AtomSharingEnabled routes what-if probes through a memoized optimizer
-	// with atomic-configuration decomposition: overlapping configurations
-	// share (query, atom) costs and only never-seen atoms reach the
-	// optimizer. Probe values are bit-identical to direct costing
-	// (TestAtomicCostEquivalence), so with MaxCalls == 0 the Selection is
-	// identical too — only OptimizerCalls shrinks.
-	AtomSharingEnabled AtomSharingMode = iota
-	// AtomSharingDisabled forces every probe through a direct what-if call
-	// (the pre-sharing behaviour). Use it to measure raw oracle throughput
-	// or to reproduce call counts from runs predating atom sharing.
-	AtomSharingDisabled
-)
-
 // Options configures the comparison primitive. The zero value plus a Seed
 // reproduces the paper's Section 7.2 protocol.
 type Options struct {
@@ -67,10 +47,11 @@ type Options struct {
 	NMin int
 	// MaxCalls, when positive, caps optimizer calls (fixed-budget mode).
 	// The pilot is planned up front at one call per probe, the same at
-	// every Parallelism; with atom sharing a probe may charge the inner
-	// optimizer several calls, so a budget that binds inside the pilot can
-	// end above MaxCalls (e.g. 111 calls for MaxCalls 100). Sampling after
-	// the pilot checks the inner counter before every probe.
+	// every Parallelism; through the atom memo a probe charges the inner
+	// optimizer one call per atom it has not seen (none, one or several),
+	// so a budget that binds inside the pilot can end above MaxCalls (e.g.
+	// 111 calls for MaxCalls 100). Sampling after the pilot checks the
+	// inner counter before every probe.
 	MaxCalls int64
 	// Seed drives all randomness.
 	Seed uint64
@@ -111,12 +92,6 @@ type Options struct {
 	// internal/bounds).
 	Metrics *obs.Registry
 
-	// AtomSharing selects the oracle's cost-sharing layer (default
-	// AtomSharingEnabled). Sharing never changes probe values, so selections
-	// are bit-identical either way — except in fixed-budget mode (MaxCalls >
-	// 0), where the budget is spent against the inner call counter and the
-	// shared oracle stretches the same budget over many more probes.
-	AtomSharing AtomSharingMode
 	// MaxRetries re-attempts failed what-if probes (only meaningful when
 	// the oracle is fallible — a remote service, or a fault-injection
 	// decorator installed via WrapOracle). 0 disables retries.
@@ -133,6 +108,8 @@ type Options struct {
 	// WrapOracle, when non-nil, decorates the live oracle before the
 	// resilience layer is applied — the seam the fault-injection harness
 	// (internal/faultinject) uses to exercise failure paths end-to-end.
+	// The oracle it receives is a sampling.SharedOracle: it implements
+	// sampling.BatchOracle and its Calls() is opt's call counter.
 	WrapOracle func(sampling.Oracle) sampling.Oracle
 
 	// WarmState, when non-nil, seeds the sampler from a prior run's
@@ -301,19 +278,15 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		obs.KV{Key: "alpha", Value: o.Alpha},
 		obs.KV{Key: "delta", Value: o.Delta},
 		obs.KV{Key: "conservative", Value: o.Conservative},
-		obs.KV{Key: "parallelism", Value: o.Parallelism},
-		obs.KV{Key: "atom_sharing", Value: o.AtomSharing == AtomSharingEnabled})
+		obs.KV{Key: "parallelism", Value: o.Parallelism})
 
-	var oracle sampling.Oracle
-	if o.AtomSharing == AtomSharingEnabled {
-		shared := optimizer.NewCached(opt)
-		if o.Metrics != nil {
-			shared.SetMetrics(o.Metrics)
-		}
-		oracle = sampling.NewSharedOracle(shared, w, configs)
-	} else {
-		oracle = sampling.NewLiveOracle(opt, w, configs)
+	// Every probe goes through the atom memo: values are bit-identical to
+	// direct what-if costing, and only atoms it has not seen reach opt.
+	shared := optimizer.NewCached(opt)
+	if o.Metrics != nil {
+		shared.SetMetrics(o.Metrics)
 	}
+	var oracle sampling.Oracle = sampling.NewSharedOracle(shared, w, configs)
 	if o.WrapOracle != nil {
 		oracle = o.WrapOracle(oracle)
 	}

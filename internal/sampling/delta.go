@@ -219,7 +219,7 @@ func (d *deltaEst) splitStats(buf []tmplStat, _ int, s *stratum) (float64, []tmp
 	start := len(buf)
 	for _, t := range s.templates {
 		n := d.tCount[t][d.best]
-		if n < d.opts.MinTemplateObs {
+		if n < minTemplateObs {
 			return s2, buf[:start], false
 		}
 		sum, sumsq := diffMoments(d.tSum[t], d.tSumsq[t], d.tCross[t], d.best, d.worst)

@@ -71,7 +71,7 @@ type stratum struct {
 	cross     []stats.Kahan // per column Σ cost_best·cost_j (Delta only)
 	rowIdx    []int         // indices into the row history (Delta only)
 	avgOver   float64       // mean optimization overhead of member queries
-	pilotN    int           // pilot target (NMin cold, WarmPilot for reused strata)
+	pilotN    int           // pilot target (NMin cold, warm share for reused strata)
 
 	// Prior moments from a warm snapshot, aggregated over member
 	// templates (nil on cold runs and fresh strata). They pool into the
@@ -272,7 +272,7 @@ func (e *engine) initWarm(wr *warmResume) {
 				sizes = append(sizes, s.size)
 			}
 		}
-		pilots := warmPilotAlloc(sizes, e.opts.NMin, e.opts.WarmPilot)
+		pilots := warmPilotAlloc(sizes, e.opts.NMin, warmPilotCap)
 		for i, s := range warm {
 			s.pilotN = pilots[i]
 			e.seedPrior(p, s)

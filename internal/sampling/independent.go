@@ -148,7 +148,7 @@ func (i *indepEst) splitStats(buf []tmplStat, p int, s *stratum) (float64, []tmp
 	start := len(buf)
 	for _, t := range s.templates {
 		n := i.tCount[t][p]
-		if n < i.opts.MinTemplateObs {
+		if n < minTemplateObs {
 			return s2, buf[:start], false
 		}
 		v, _ := stats.SampleVarFromKahanSums(i.tSum[t][p], i.tSumsq[t][p], n)

@@ -3,11 +3,7 @@ package sampling
 import (
 	"testing"
 
-	"physdes/internal/catalog"
-	"physdes/internal/optimizer"
-	"physdes/internal/physical"
 	"physdes/internal/stats"
-	"physdes/internal/workload"
 )
 
 // Force the Independent sampler through Algorithm 2: few templates with
@@ -17,7 +13,7 @@ func TestIndependentProgressiveSplits(t *testing.T) {
 	m, tmplIdx := synthMatrix(6000, 2, 3, 0.002, 3, 61)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Independent, Strat: Progressive,
-		MaxCalls: 9000, NMin: 8, MinTemplateObs: 2,
+		MaxCalls: 9000, NMin: 8,
 		RNG:           stats.NewRNG(62),
 		TemplateIndex: tmplIdx, TemplateCount: 3,
 	})
@@ -60,46 +56,5 @@ func TestIndependentEliminationFires(t *testing.T) {
 	}
 	if res.Eliminated[res.Best] {
 		t.Error("best must survive elimination")
-	}
-}
-
-func TestLiveOracle(t *testing.T) {
-	cat := catalog.TPCD(0.01)
-	w, err := workload.GenTPCD(cat, 60, 65)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := optimizer.New(cat)
-	configs := []*physical.Configuration{
-		physical.NewConfiguration("empty"),
-		physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_shipdate"})),
-	}
-	o := NewLiveOracle(opt, w, configs)
-	if o.N() != 60 || o.K() != 2 {
-		t.Fatalf("live oracle dims %d×%d", o.N(), o.K())
-	}
-	c := o.Cost(3, 1)
-	if c <= 0 {
-		t.Errorf("cost = %v", c)
-	}
-	if o.Calls() != 1 {
-		t.Errorf("calls = %d", o.Calls())
-	}
-	// Re-evaluation hits the optimizer again (no caching in the live
-	// oracle), matching the paper's call accounting.
-	o.Cost(3, 1)
-	if o.Calls() != 2 {
-		t.Errorf("calls = %d", o.Calls())
-	}
-	// Run the full primitive through the live oracle.
-	res, err := Run(o, Options{
-		Scheme: Delta, Alpha: 0.9, RNG: stats.NewRNG(66),
-		TemplateIndex: w.TemplateIndexOf(), TemplateCount: w.NumTemplates(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best < 0 || res.Best > 1 {
-		t.Errorf("best = %d", res.Best)
 	}
 }

@@ -116,11 +116,6 @@ type Options struct {
 	// TemplateCount is the number of distinct templates.
 	TemplateCount int
 
-	// MinTemplateObs is the number of sampled observations a template
-	// needs before its average cost participates in split decisions
-	// (default 2).
-	MinTemplateObs int
-
 	// VarianceBound, when non-nil, substitutes a conservative upper bound
 	// for the sample variance of the difference estimator (Section 6.2's
 	// σ²_max), making Pr(CS) conservative. It is consulted per pair with
@@ -138,7 +133,7 @@ type Options struct {
 	// and stratification mode, every configuration fingerprint present in
 	// the snapshot), seeds the sampler from a prior run's snapshot:
 	// unchanged templates keep their strata and prior moments and get the
-	// reduced WarmPilot, while new or drifted templates are re-piloted
+	// reduced warm pilot, while new or drifted templates are re-piloted
 	// from scratch. An incompatible or empty snapshot degrades to a cold
 	// start that is bit-identical to WarmState == nil.
 	WarmState *StratState
@@ -152,13 +147,6 @@ type Options struct {
 	// CaptureState records the final stratification into Result.State
 	// (requires TemplateSigs and ConfigFingerprints).
 	CaptureState bool
-	// WarmPilot caps the per-stratum warm pilot (default 10, minimum 2).
-	// Strata reused from a warm snapshot share one NMin-sized pilot
-	// budget allocated proportionally to stratum size and clamped to
-	// [2, WarmPilot] each, so a deeply split snapshot never pays more
-	// pilot probes than a cold single-stratum start. Fresh strata keep
-	// the full NMin.
-	WarmPilot int
 
 	// TracePrCS records Pr(CS) after every sample into Result.PrCSTrace.
 	TracePrCS bool
@@ -184,17 +172,19 @@ func (o Options) withDefaults() Options {
 	if o.StabilityWindow <= 0 {
 		o.StabilityWindow = 1
 	}
-	if o.MinTemplateObs <= 0 {
-		o.MinTemplateObs = 2
-	}
-	if o.WarmPilot <= 0 {
-		o.WarmPilot = 10
-	}
-	if o.WarmPilot < 2 {
-		o.WarmPilot = 2
-	}
 	return o
 }
+
+// minTemplateObs is the number of sampled observations a template needs
+// before its average cost participates in split decisions.
+const minTemplateObs = 2
+
+// warmPilotCap caps the per-stratum warm pilot. Strata reused from a warm
+// snapshot share one NMin-sized pilot budget allocated proportionally to
+// stratum size and clamped to [2, warmPilotCap] each (warmPilotAlloc), so
+// a deeply split snapshot never pays more pilot probes than a cold
+// single-stratum start. Fresh strata keep the full NMin.
+const warmPilotCap = 10
 
 // ctxErr reports the run context's error, nil when no context was set.
 func (o *Options) ctxErr() error {

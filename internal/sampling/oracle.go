@@ -155,50 +155,15 @@ func (o *MatrixOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
 // ResetCalls zeroes the counter.
 func (o *MatrixOracle) ResetCalls() { o.calls.Store(0) }
 
-// LiveOracle evaluates costs through a what-if optimizer on demand, caching
-// nothing: each request is a real optimizer call.
-type LiveOracle struct {
-	Opt      *optimizer.Optimizer
-	Workload *workload.Workload
-	Configs  []*physical.Configuration
-}
-
-// NewLiveOracle builds a live oracle.
-func NewLiveOracle(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration) *LiveOracle {
-	return &LiveOracle{Opt: opt, Workload: w, Configs: configs}
-}
-
-// Cost implements Oracle.
-func (o *LiveOracle) Cost(i, j int) float64 {
-	return o.Opt.Cost(o.Workload.Queries[i].Analysis, o.Configs[j])
-}
-
-// N implements Oracle.
-func (o *LiveOracle) N() int { return o.Workload.Size() }
-
-// K implements Oracle.
-func (o *LiveOracle) K() int { return len(o.Configs) }
-
-// Calls implements Oracle.
-func (o *LiveOracle) Calls() int64 { return o.Opt.Calls() }
-
-// BatchCost implements BatchOracle over the optimizer's batch pool.
-func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
-	reqs := make([]optimizer.Request, len(pairs))
-	for i, p := range pairs {
-		reqs[i] = optimizer.Request{Analysis: o.Workload.Queries[p.Q].Analysis, Config: o.Configs[p.J]}
-	}
-	o.Opt.BatchInto(reqs, out, parallelism)
-}
-
-// SharedOracle evaluates costs through a memoized optimizer with
-// atomic-configuration sharing (optimizer.NewCached): each request is
-// decomposed into the atomic sub-configurations the plan can read, only
-// never-seen (query, atom) pairs reach the what-if optimizer, and the
-// values are bit-identical to LiveOracle's. Calls() reports the inner
-// optimizer's counter, so the sharing shows up directly in the paper's
-// accounting: repeated probes of overlapping configurations charge far
-// fewer calls than N*K.
+// SharedOracle is the live what-if oracle: it evaluates costs on demand
+// through a memoized optimizer with atomic-configuration sharing
+// (optimizer.NewCached). Each request is decomposed into the atomic
+// sub-configurations the plan can read, only never-seen (query, atom)
+// pairs reach the what-if optimizer, and the values are bit-identical to
+// calling the optimizer directly. Calls() reports the inner optimizer's
+// counter, so the sharing shows up directly in the paper's accounting:
+// repeated probes of overlapping configurations charge far fewer calls
+// than N*K.
 type SharedOracle struct {
 	C        *optimizer.Cached
 	Workload *workload.Workload

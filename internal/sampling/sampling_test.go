@@ -156,7 +156,7 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 				e := newEngine(NewMatrixOracle(m), Options{
 					Scheme: scheme, Strat: mode, Alpha: 0.9, NMin: 10,
 					MaxCalls: 600, RNG: stats.NewRNG(uint64(r) + 999),
-					TemplateIndex: tmplIdx, TemplateCount: 6, MinTemplateObs: 2,
+					TemplateIndex: tmplIdx, TemplateCount: 6,
 				}.withDefaults())
 				for p, strata := range e.parts {
 					for h, s := range strata {

@@ -12,9 +12,10 @@ import (
 	"physdes/internal/workload"
 )
 
-// TestSharedOracle pins the atom-sharing oracle against LiveOracle: same
-// dimensions, bit-identical costs on both the serial and batch paths, a
-// strictly smaller what-if bill, and a working end-to-end Run.
+// TestSharedOracle pins the atom-sharing oracle against direct what-if
+// calls (optimizer.Optimizer.Cost): same dimensions, bit-identical costs
+// on both the serial and batch paths, a strictly smaller what-if bill, and
+// a working end-to-end Run.
 func TestSharedOracle(t *testing.T) {
 	cat := catalog.TPCD(0.01)
 	w, err := workload.GenTPCD(cat, 60, 65)
@@ -33,18 +34,19 @@ func TestSharedOracle(t *testing.T) {
 		t.Fatalf("shared oracle dims %d×%d, want 60×3", o.N(), o.K())
 	}
 
-	live := NewLiveOracle(optimizer.New(cat), w, configs)
+	direct := optimizer.New(cat)
+	directCost := func(i, j int) float64 { return direct.Cost(w.Queries[i].Analysis, configs[j]) }
 	for i := 0; i < o.N(); i++ {
 		for j := 0; j < o.K(); j++ {
-			if got, want := o.Cost(i, j), live.Cost(i, j); got != want {
-				t.Fatalf("Cost(%d, %d) = %v, live oracle says %v", i, j, got, want)
+			if got, want := o.Cost(i, j), directCost(i, j); got != want {
+				t.Fatalf("Cost(%d, %d) = %v, direct what-if call says %v", i, j, got, want)
 			}
 		}
 	}
 	// The full surface repeats the shipdate singleton across ix1 and ix2,
 	// so sharing must charge strictly fewer inner calls than N*K.
-	if o.Calls() >= live.Calls() {
-		t.Errorf("sharing saved nothing: %d calls vs %d direct", o.Calls(), live.Calls())
+	if o.Calls() >= direct.Calls() {
+		t.Errorf("sharing saved nothing: %d calls vs %d direct", o.Calls(), direct.Calls())
 	}
 
 	// The batch path returns the same values and, with the surface already
@@ -59,7 +61,7 @@ func TestSharedOracle(t *testing.T) {
 	before := o.Calls()
 	o.BatchCost(pairs, out, 4)
 	for n, p := range pairs {
-		if want := live.Cost(p.Q, p.J); out[n] != want {
+		if want := directCost(p.Q, p.J); out[n] != want {
 			t.Fatalf("BatchCost pair %d = %v, want %v", n, out[n], want)
 		}
 	}
@@ -99,9 +101,9 @@ var errSentinel = errors.New("sentinel")
 
 // TestEvalPathsAndLiveBatch pins Eval's routing: an ErrOracle takes its
 // fallible batch path once for the whole batch, even past a failing slot;
-// an infallible BatchOracle matches pairwise Cost and clears errs; and
-// LiveOracle's batch path matches its serial path. rowErr ranks a hard
-// error above a skip request.
+// an infallible BatchOracle matches pairwise Cost and clears errs; and the
+// live SharedOracle's pooled batch path matches its serial path. rowErr
+// ranks a hard error above a skip request.
 func TestEvalPathsAndLiveBatch(t *testing.T) {
 	cat := catalog.TPCD(0.01)
 	w, err := workload.GenTPCD(cat, 40, 67)
@@ -112,26 +114,34 @@ func TestEvalPathsAndLiveBatch(t *testing.T) {
 		physical.NewConfiguration("empty"),
 		physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_shipdate"})),
 	}
-	live := NewLiveOracle(optimizer.New(cat), w, configs)
+	live := func() *SharedOracle {
+		return NewSharedOracle(optimizer.NewCached(optimizer.New(cat)), w, configs)
+	}
+	serial := live()
 
 	pairs := []Pair{{Q: 0, J: 0}, {Q: 1, J: 1}, {Q: 2, J: 0}, {Q: 3, J: 1}}
 	out := make([]float64, len(pairs))
 	errs := []error{errSentinel, errSentinel, errSentinel, errSentinel}
-	Eval(live, pairs, out, errs, 1)
+	Eval(serial, pairs, out, errs, 1)
 	for i, p := range pairs {
 		if errs[i] != nil {
 			t.Fatalf("pair %d errored: %v", i, errs[i])
 		}
-		if want := live.Cost(p.Q, p.J); out[i] != want {
+		if want := serial.Cost(p.Q, p.J); out[i] != want {
 			t.Errorf("pair %d: Eval %v, serial %v", i, out[i], want)
 		}
 	}
+	// A fresh memo, so the pooled batch computes every atom itself.
+	pooled := live()
 	batched := make([]float64, len(pairs))
-	live.BatchCost(pairs, batched, 2)
+	pooled.BatchCost(pairs, batched, 2)
 	for i := range pairs {
 		if batched[i] != out[i] {
 			t.Errorf("pair %d: BatchCost %v diverged from serial %v", i, batched[i], out[i])
 		}
+	}
+	if pooled.Calls() != serial.Calls() {
+		t.Errorf("pooled batch charged %d calls, serial path %d", pooled.Calls(), serial.Calls())
 	}
 
 	m, _ := synthMatrix(10, 2, 2, 0.1, 1, 3)

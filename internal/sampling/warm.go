@@ -351,7 +351,7 @@ func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *populati
 				maxCount = ts.Counts[j]
 			}
 		}
-		if maxCount < opts.MinTemplateObs {
+		if maxCount < minTemplateObs {
 			// Known but under-observed: the prior run's stratum placement
 			// is still informed by this template's identity, so keep it in
 			// its snapshot group — it simply contributes no prior moments

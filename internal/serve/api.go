@@ -32,8 +32,10 @@ type WorkloadResponse struct {
 }
 
 // JobRequest is the body of POST /v1/jobs. Fields mirror the `physdes
-// select` flags; zero values take the same defaults the CLI uses, so a
-// job's Selection is bit-identical to the CLI run with the same seed.
+// select` flags that shape a Selection, and a job costs its probes through
+// the same atom memo; zero values take the same defaults the CLI uses, so
+// a job's Selection is bit-identical to the CLI run with the same seed.
+// The body is decoded strictly: an unknown field is a 400.
 type JobRequest struct {
 	// Workload is the id of a previously uploaded workload (required).
 	Workload string `json:"workload"`
@@ -58,8 +60,6 @@ type JobRequest struct {
 	Conservative bool `json:"conservative,omitempty"`
 	// MaxCalls caps the job's optimizer calls when > 0.
 	MaxCalls int `json:"max_calls,omitempty"`
-	// AtomSharing disables the shared atom cache when explicitly false.
-	AtomSharing *bool `json:"atom_sharing,omitempty"`
 }
 
 func (jr JobRequest) k() int {
@@ -103,9 +103,6 @@ func (jr JobRequest) options(lim TenantLimits) (core.Options, error) {
 	o.Conservative = jr.Conservative
 	if jr.MaxCalls > 0 {
 		o.MaxCalls = int64(jr.MaxCalls)
-	}
-	if jr.AtomSharing != nil && !*jr.AtomSharing {
-		o.AtomSharing = core.AtomSharingDisabled
 	}
 	o.MaxRetries = lim.MaxRetries
 	o.ErrorBudget = lim.ErrorBudget

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"physdes/internal/core"
 	"physdes/internal/obs/recorder"
 )
 
@@ -157,12 +156,6 @@ func TestJobRequestOptionVariants(t *testing.T) {
 		if o.Parallelism != tc.wantPar {
 			t.Errorf("case %d (%+v): Parallelism = %d, want %d", i, tc.jr, o.Parallelism, tc.wantPar)
 		}
-	}
-	off := false
-	if o, err := JobOptions(JobRequest{Seed: 5, AtomSharing: &off}, TenantLimits{}); err != nil {
-		t.Errorf("atom sharing off: %v", err)
-	} else if o.AtomSharing != core.AtomSharingDisabled {
-		t.Error("atom sharing off: option not applied")
 	}
 	for _, lim := range []TenantLimits{
 		{Degrade: "skip", ErrorBudget: 2},
