@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-atoms bench-warmstart bench-serve experiments experiments-paper cover clean
+.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench experiments experiments-paper cover clean
 
 all: build vet lint test
 
@@ -60,22 +60,9 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Atomic what-if sharing: call reduction on the Table 2 candidate spaces
-# (BENCH_atoms.json).
-bench-atoms:
-	$(GO) run ./cmd/benchrunner -exp atoms -json BENCH_atoms.json
-
-# Warm start: cold vs snapshot-seeded re-selection, unchanged-workload
-# rerun and drifting windows (BENCH_warmstart.json).
-bench-warmstart:
-	$(GO) run ./cmd/benchrunner -exp drift -json BENCH_warmstart.json
-
-# Advisor-service load: 200 concurrent sessions against an in-process
-# physdesd, zero lost/duplicated jobs required (BENCH_serve.json).
-bench-serve:
-	$(GO) run ./cmd/benchrunner -exp serve -json BENCH_serve.json
-
-# Regenerate every table and figure at quick scale (minutes).
+# Regenerate every table and figure at quick scale (minutes). The
+# call-reduction rows of -exp drift and -exp atoms (k=50) are pinned
+# exactly by TestReductionsGolden, which `make test` runs.
 experiments:
 	$(GO) run ./cmd/benchrunner
 

@@ -3,18 +3,14 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|atoms|drift|serve]
-//	            [-quick|-paper] [-seed N] [-repeats N]
+//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|batching|scaling|rho|atoms|drift]
+//	            [-paper] [-seed N] [-repeats N] [-csv DIR]
 //	            [-profile cpu.pprof] [-heap-profile heap.pprof] [-metrics]
-//	            [-json FILE] [-listen 127.0.0.1:6060]
+//	            [-listen 127.0.0.1:6060]
 //
 // Quick mode (default) uses reduced workload sizes and Monte-Carlo repeat
 // counts so the full suite finishes in minutes; -paper switches to the
 // paper's sizes (13K/6K queries, 5000 repeats, k up to 500).
-//
-// -json writes the artifact of a single experiment — atoms
-// (BENCH_atoms.json), serve (BENCH_serve.json) or drift
-// (BENCH_warmstart.json); with any other -exp it is an error.
 //
 // -profile records a CPU profile of the whole run (and -heap-profile a
 // heap profile at exit) for `go tool pprof`; -metrics attaches a registry
@@ -42,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, atoms, drift, serve)")
+		exp     = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, batching, scaling, rho, atoms, drift)")
 		paper   = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		repeats = flag.Int("repeats", 0, "override Monte-Carlo repeats")
@@ -50,7 +46,6 @@ func main() {
 		profile = flag.String("profile", "", "write a CPU profile of the run to this file")
 		heap    = flag.String("heap-profile", "", "write a heap profile at exit to this file")
 		metrics = flag.Bool("metrics", false, "print the metrics registry (Prometheus text format) on stderr at exit")
-		jsonOut = flag.String("json", "", "write the experiment's rows as JSON to this file (only with -exp atoms, serve or drift)")
 		listen  = flag.String("listen", "", "serve live introspection HTTP (/healthz, /metrics, /debug/pprof) on this address while the run executes")
 	)
 	flag.Parse()
@@ -96,7 +91,7 @@ func main() {
 	// The suite runs in a goroutine so an interrupt can cut it short while
 	// profiles and metrics below still finalize before exit.
 	errc := make(chan error, 1)
-	go func() { errc <- run(*exp, p, *csvDir, reg, *jsonOut) }()
+	go func() { errc <- run(*exp, p, *csvDir, reg) }()
 	var err error
 	select {
 	case err = <-errc:
@@ -132,10 +127,7 @@ func main() {
 	}
 }
 
-func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jsonOut string) error {
-	if jsonOut != "" && exp != "atoms" && exp != "serve" && exp != "drift" {
-		return fmt.Errorf("-json is only written by -exp atoms, serve or drift, not %q", exp)
-	}
+func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry) error {
 	writeCSV := func(name string, fn func() error) {
 		if csvDir == "" {
 			return
@@ -144,7 +136,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 			fmt.Fprintf(os.Stderr, "benchrunner: csv %s: %v%c", name, err, 10)
 		}
 	}
-	_ = writeCSV
 	out := os.Stdout
 	all := exp == "all"
 
@@ -332,31 +323,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 			fmt.Fprintf(out, "  k=%-4d queries=%-5d pairs=%-8d direct=%-8d shared=%-7d reduction=%5.1fx  atoms=%-6d hits=%-8d fallbacks=%d\n",
 				r.K, r.Queries, r.Pairs, r.DirectCalls, r.SharedCalls, r.Reduction, r.Atoms, r.AtomHits, r.Fallbacks)
 		}
-		if jsonOut != "" {
-			if err := experiments.WriteAtomsJSON(jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote sharing curve to %s\n", jsonOut)
-		}
-		fmt.Fprintln(out)
-	}
-	if exp == "serve" {
-		// Not part of `all`: a 200-session load run is a stress test, not
-		// a paper figure.
-		sessions, perSession, tenants := 200, 2, 16
-		res, err := experiments.ServeLoad(sessions, perSession, tenants, p)
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintServeLoad(out, res); err != nil {
-			return err
-		}
-		if jsonOut != "" {
-			if err := experiments.WriteServeJSON(jsonOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote load run to %s\n", jsonOut)
-		}
 		fmt.Fprintln(out)
 	}
 	if all || exp == "drift" {
@@ -366,12 +332,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 		}
 		if err := experiments.PrintWarmstart(out, rows); err != nil {
 			return err
-		}
-		if jsonOut != "" {
-			if err := experiments.WriteWarmstartJSON(jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote warm-start rows to %s\n", jsonOut)
 		}
 		fmt.Fprintln(out)
 	}
@@ -389,7 +349,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 	}
 	if !all {
 		switch exp {
-		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "atoms", "drift", "serve":
+		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "atoms", "drift":
 		default:
 			return fmt.Errorf("unknown experiment %q", exp)
 		}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"physdes/internal/optimizer"
@@ -11,32 +9,28 @@ import (
 
 // AtomsRow is one point of the atomic what-if sharing curve: the full
 // (query, configuration) cost surface of a k-candidate space evaluated once
-// directly and once through the atom-sharing layer, with identical values
-// required.
+// directly and once through the atom-sharing layer. AtomSharing returns a
+// row only when the two surfaces matched bit-for-bit.
 type AtomsRow struct {
 	// K is the candidate-space size.
-	K int `json:"k"`
+	K int
 	// Queries is the workload subset size the surface is built over.
-	Queries int `json:"queries"`
+	Queries int
 	// Pairs is Queries × K, the direct what-if bill.
-	Pairs int64 `json:"pairs"`
+	Pairs int64
 	// DirectCalls is what the direct evaluation charged (== Pairs).
-	DirectCalls int64 `json:"direct_calls"`
+	DirectCalls int64
 	// SharedCalls is what the atom-sharing evaluation charged the inner
 	// optimizer: one call per distinct (query, atom) pair plus fallbacks.
-	SharedCalls int64 `json:"shared_calls"`
+	SharedCalls int64
 	// Reduction is DirectCalls / SharedCalls.
-	Reduction float64 `json:"reduction"`
+	Reduction float64
 	// AtomHits counts reassemblies served from the atom store.
-	AtomHits int64 `json:"atom_hits"`
+	AtomHits int64
 	// Atoms counts the distinct (query, atom) costings paid.
-	Atoms int64 `json:"atoms"`
+	Atoms int64
 	// Fallbacks counts width-bound fallbacks to direct costing.
-	Fallbacks int64 `json:"fallbacks"`
-	// Identical reports whether the two cost surfaces matched bit-for-bit
-	// (the experiment's correctness gate; always true unless atoms.go
-	// regresses).
-	Identical bool `json:"identical"`
+	Fallbacks int64
 }
 
 // AtomSharing measures the what-if call reduction of atomic-configuration
@@ -69,15 +63,10 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		shared := optimizer.NewCached(optimizer.New(s.Cat))
 		got := shared.Batch(reqs, par)
 
-		identical := true
 		for i := range want {
 			if want[i] != got[i] {
-				identical = false
-				break
+				return nil, fmt.Errorf("experiments: atoms: k=%d cost surfaces diverged (sharing must be exact)", k)
 			}
-		}
-		if !identical {
-			return nil, fmt.Errorf("experiments: atoms: k=%d cost surfaces diverged (sharing must be exact)", k)
 		}
 
 		hits, misses, fallbacks := shared.AtomStats()
@@ -90,7 +79,6 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 			AtomHits:    hits,
 			Atoms:       misses,
 			Fallbacks:   fallbacks,
-			Identical:   identical,
 		}
 		if row.SharedCalls > 0 {
 			row.Reduction = float64(row.DirectCalls) / float64(row.SharedCalls)
@@ -98,18 +86,4 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// WriteAtomsJSON writes the sharing curve as a JSON document (the
-// BENCH_atoms.json artifact tracked across revisions).
-func WriteAtomsJSON(path string, rows []AtomsRow) error {
-	doc := struct {
-		Benchmark string     `json:"benchmark"`
-		Rows      []AtomsRow `json:"rows"`
-	}{Benchmark: "atom-sharing", Rows: rows}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"physdes/internal/catalog"
 	"physdes/internal/core"
@@ -25,34 +23,34 @@ type WarmstartRow struct {
 	// Phase is "rerun" (unchanged workload, re-selected from its own
 	// snapshot) or "drift" (windowed workload with template churn and
 	// skew drift, warm chained from the previous window's snapshot).
-	Phase string `json:"phase"`
+	Phase string
 	// Window is the drift window index (0 for the rerun phase).
-	Window int `json:"window"`
+	Window int
 	// K is the configuration-space size of the phase's fixture.
-	K int `json:"k"`
+	K int
 	// ColdCalls and WarmCalls are the mean optimizer bills of the two
 	// paths.
-	ColdCalls int64 `json:"cold_calls"`
-	WarmCalls int64 `json:"warm_calls"`
+	ColdCalls int64
+	WarmCalls int64
 	// ColdSampled and WarmSampled are the mean distinct workload
 	// statement counts evaluated.
-	ColdSampled int `json:"cold_sampled"`
-	WarmSampled int `json:"warm_sampled"`
+	ColdSampled int
+	WarmSampled int
 	// ColdMS and WarmMS are mean wall-clock selection times.
-	ColdMS float64 `json:"cold_ms"`
-	WarmMS float64 `json:"warm_ms"`
+	ColdMS float64
+	WarmMS float64
 	// ColdRegret and WarmRegret are mean (cost(picked) − cost(best)) /
 	// cost(best) against the window's exhaustively computed best
 	// configuration.
-	ColdRegret float64 `json:"cold_regret"`
-	WarmRegret float64 `json:"warm_regret"`
+	ColdRegret float64
+	WarmRegret float64
 	// StrataReused and PilotSaved report what the warm path reused
 	// (means over the repetitions).
-	StrataReused int `json:"strata_reused"`
-	PilotSaved   int `json:"pilot_saved"`
+	StrataReused int
+	PilotSaved   int
 	// Reduction is total ColdCalls / total WarmCalls over the
 	// repetitions.
-	Reduction float64 `json:"reduction"`
+	Reduction float64
 }
 
 const (
@@ -208,7 +206,7 @@ func Warmstart(p Params) ([]WarmstartRow, error) {
 // cold→warm reruns on the first probeReps of the measured repetitions —
 // picks the one with the largest call reduction. The probe shares those
 // seeds with the reported rows (which also average over further,
-// unprobed repetitions), and it keeps the artifact an honest regression
+// unprobed repetitions), and it keeps the rows an honest regression
 // signal: if the warm path stops reusing prior state, no space probes
 // above 1× and the rows report it.
 func pickRerunSpace(cat *catalog.Catalog, w *workload.Workload, cands []physical.Structure, p Params) ([]*physical.Configuration, error) {
@@ -276,7 +274,7 @@ func pickRerunSpace(cat *catalog.Catalog, w *workload.Workload, cands []physical
 // over the measured repetitions' seeds — shows the largest worst-window
 // warm-over-cold call reduction is chosen. The probe is the measurement:
 // the chosen space's worst warm window beats cold on the very seeds the
-// rows average, and the scan keeps the artifact a regression signal: if
+// rows average, and the scan keeps the rows a regression signal: if
 // the warm path stops reusing prior state, no space shows a reduction
 // and the rows report it.
 func pickDriftSpace(cat *catalog.Catalog, ws []workload.DriftWindow, cands []physical.Structure, p Params) ([]*physical.Configuration, error) {
@@ -423,18 +421,4 @@ func (a *warmstartAcc) row() WarmstartRow {
 		row.Reduction = float64(a.coldCalls) / float64(a.warmCalls)
 	}
 	return row
-}
-
-// WriteWarmstartJSON writes the warm-start rows as a JSON document (the
-// BENCH_warmstart.json artifact tracked across revisions).
-func WriteWarmstartJSON(path string, rows []WarmstartRow) error {
-	doc := struct {
-		Benchmark string         `json:"benchmark"`
-		Rows      []WarmstartRow `json:"rows"`
-	}{Benchmark: "warm-start", Rows: rows}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -278,59 +278,103 @@ func gatedConfig(t *testing.T, cfg Config) (Config, func()) {
 }
 
 // TestServeAdmissionControl saturates a 1-runner, depth-2 daemon and
-// asserts the 429 + Retry-After contract, then drains and verifies every
-// accepted job finished exactly once.
+// asserts the 429 contract, then drains and verifies every accepted job
+// finished exactly once. The runner is held until the first 429, so every
+// case sees a reject. In the serial case a rejected submission is dropped;
+// in the concurrent case more submitters than the queue holds retry each
+// 429 until accepted, so every submission ends up accepted.
 func TestServeAdmissionControl(t *testing.T) {
-	cfg, release := gatedConfig(t, Config{Runners: 1, QueueDepth: 2, RetryAfterSeconds: 3})
-	h := newHarness(t, cfg)
-	t.Cleanup(release)
-	wid := h.uploadWorkload("", 40, 5)
+	cases := []struct {
+		name                 string
+		submitters, jobsEach int
+		retry                bool
+	}{
+		{"serial", 1, 12, false},
+		{"concurrent-retry", 8, 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, release := gatedConfig(t, Config{Runners: 1, QueueDepth: 2, RetryAfterSeconds: 3})
+			h := newHarness(t, cfg)
+			t.Cleanup(release)
+			wid := h.uploadWorkload("", 40, 5)
 
-	accepted := []string{}
-	sawReject := false
-	for i := 0; i < 12; i++ {
-		var resp JobResponse
-		code, raw := h.request("POST", "/v1/jobs", "",
-			JobRequest{Workload: wid, K: 4, Seed: uint64(100 + i)})
-		switch code {
-		case http.StatusAccepted:
-			if err := json.Unmarshal(raw, &resp); err != nil {
-				t.Fatalf("unmarshal: %v", err)
+			var mu sync.Mutex
+			accepted := []string{}
+			rejects := 0
+			var wg sync.WaitGroup
+			for si := 0; si < tc.submitters; si++ {
+				wg.Add(1)
+				go func(si int) {
+					defer wg.Done()
+					for ji := 0; ji < tc.jobsEach; ji++ {
+						req := JobRequest{Workload: wid, K: 4, Seed: uint64(100 + si*tc.jobsEach + ji)}
+						for {
+							code, raw := h.request("POST", "/v1/jobs", "", req)
+							if code == http.StatusAccepted {
+								var resp JobResponse
+								if err := json.Unmarshal(raw, &resp); err != nil {
+									t.Errorf("unmarshal: %v", err)
+									return
+								}
+								mu.Lock()
+								accepted = append(accepted, resp.ID)
+								mu.Unlock()
+								break
+							}
+							if code != http.StatusTooManyRequests {
+								t.Errorf("submit %d/%d: unexpected status %d: %s", si, ji, code, raw)
+								return
+							}
+							var er ErrorResponse
+							if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
+								t.Errorf("429 body %q not the canonical error shape", raw)
+								return
+							}
+							mu.Lock()
+							rejects++
+							mu.Unlock()
+							release()
+							if !tc.retry {
+								break
+							}
+							time.Sleep(time.Millisecond)
+						}
+					}
+				}(si)
 			}
-			accepted = append(accepted, resp.ID)
-		case http.StatusTooManyRequests:
-			sawReject = true
-			var er ErrorResponse
-			if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
-				t.Fatalf("429 body %q not the canonical error shape", raw)
+			wg.Wait()
+			release()
+			if rejects == 0 {
+				t.Fatalf("queue of depth 2 absorbed %d submissions without a 429", tc.submitters*tc.jobsEach)
 			}
-		default:
-			t.Fatalf("submit %d: unexpected status %d: %s", i, code, raw)
-		}
-	}
-	if !sawReject {
-		t.Fatal("queue of depth 2 absorbed 12 instant submissions without a 429")
-	}
-	release()
-	for _, id := range accepted {
-		r := h.await("", id)
-		if r.Status != StatusDone {
-			t.Errorf("accepted job %s ended %s (%s)", id, r.Status, r.Error)
-		}
-	}
-	// Zero lost or duplicated jobs: every accepted id is distinct and the
-	// tenant listing matches exactly.
-	seen := map[string]bool{}
-	for _, id := range accepted {
-		if seen[id] {
-			t.Errorf("duplicate job id %s", id)
-		}
-		seen[id] = true
-	}
-	var listing []JobResponse
-	h.requestJSON("GET", "/v1/jobs", "", nil, &listing)
-	if len(listing) != len(accepted) {
-		t.Errorf("tenant lists %d jobs, accepted %d", len(listing), len(accepted))
+			if tc.retry && len(accepted) != tc.submitters*tc.jobsEach {
+				t.Errorf("accepted %d of %d retried submissions", len(accepted), tc.submitters*tc.jobsEach)
+			}
+			for _, id := range accepted {
+				r := h.await("", id)
+				if r.Status != StatusDone {
+					t.Errorf("accepted job %s ended %s (%s)", id, r.Status, r.Error)
+				}
+			}
+			// Zero lost or duplicated jobs: every accepted id is distinct,
+			// and the tenant listing and the job counter match exactly.
+			seen := map[string]bool{}
+			for _, id := range accepted {
+				if seen[id] {
+					t.Errorf("duplicate job id %s", id)
+				}
+				seen[id] = true
+			}
+			var listing []JobResponse
+			h.requestJSON("GET", "/v1/jobs", "", nil, &listing)
+			if len(listing) != len(accepted) {
+				t.Errorf("tenant lists %d jobs, accepted %d", len(listing), len(accepted))
+			}
+			if total := h.s.Registry().Snapshot().Counters["serve_jobs_total"]; total != int64(len(accepted)) {
+				t.Errorf("serve_jobs_total = %d, accepted %d", total, len(accepted))
+			}
+		})
 	}
 }
 
