@@ -36,7 +36,8 @@ func fnvTrace(xs []float64) uint64 {
 // on, in the runs where a what-if request repeats one already answered:
 // Independent Sampling re-samples after splits, resilience retries
 // re-request failed probes, and a call budget stops the run after the
-// pilot. Any change to how the what-if memo answers repeats shows up as a
+// pilot. The conservative rows also pin the Section 6 bounds a live Select
+// derives (vbound, clt); other rows print 0 for both. Any change to how the what-if memo answers repeats shows up as a
 // diff. Regenerate with -update only when a change to the selections is
 // intended.
 func TestMemoGolden(t *testing.T) {
@@ -46,6 +47,7 @@ func TestMemoGolden(t *testing.T) {
 			return faultinject.New(inner, faultinject.Options{Seed: 17, TransientRate: 0.05})
 		}
 	}
+	conservative := func(o *Options) { o.Conservative, o.Rho = true, 50 }
 	// repeats marks the rows whose runs re-request a (statement,
 	// configuration) pair: Fine stratification never re-samples, and on the
 	// CRM fixture only retries repeat a request.
@@ -61,6 +63,8 @@ func TestMemoGolden(t *testing.T) {
 		{"delta/retry-skip", sampling.Delta, sampling.Progressive, faulty, true},
 		{"independent/retry-skip", sampling.Independent, sampling.Progressive, faulty, true},
 		{"independent/maxcalls", sampling.Independent, sampling.Progressive, func(o *Options) { o.MaxCalls = 1000 }, true},
+		{"independent/conservative", sampling.Independent, sampling.Progressive, conservative, true},
+		{"delta/conservative", sampling.Delta, sampling.Progressive, conservative, true},
 	}
 	workloads := []struct {
 		name  string
@@ -69,7 +73,7 @@ func TestMemoGolden(t *testing.T) {
 	}{
 		{"tpcd", func(t *testing.T) (*optimizer.Optimizer, *workload.Workload, []*physical.Configuration) {
 			return scenario(t, 1000, 6, 1)
-		}, []int{0, 1, 2, 3, 4}},
+		}, []int{0, 1, 2, 3, 4, 5, 6}},
 		{"crm", func(t *testing.T) (*optimizer.Optimizer, *workload.Workload, []*physical.Configuration) {
 			return crmScenario(t, 500, 5, 4)
 		}, []int{2, 3}},
@@ -99,10 +103,10 @@ func TestMemoGolden(t *testing.T) {
 				}
 				t.Logf("%s/%s/par%d: optimizer_cache_hits_total=%d misses=%d", wl.name, row.name, par,
 					hits, snap.Counters["optimizer_cache_misses_total"])
-				fmt.Fprintf(&got, "%s/%s/par%d best=%d prcs=%.17g calls=%d sampled=%d strata=%d splits=%d retries=%d faults=%d degraded=%d trace=%d/%016x\n",
+				fmt.Fprintf(&got, "%s/%s/par%d best=%d prcs=%.17g calls=%d sampled=%d strata=%d splits=%d retries=%d faults=%d degraded=%d trace=%d/%016x vbound=%.17g clt=%d\n",
 					wl.name, row.name, par, sel.BestIndex, sel.PrCS, sel.OptimizerCalls, sel.SampledQueries,
 					sel.Strata, sel.Splits, sel.OracleRetries, sel.OracleFaults, sel.DegradedQueries,
-					len(sel.PrCSTrace), fnvTrace(sel.PrCSTrace))
+					len(sel.PrCSTrace), fnvTrace(sel.PrCSTrace), sel.VarianceBound, sel.CLTMinSamples)
 			}
 		}
 	}
