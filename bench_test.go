@@ -207,7 +207,7 @@ func BenchmarkCLTSkewBound(b *testing.B) {
 	ivs := experiments.SigmaIntervals(5_000, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bounds.SkewMax(ivs, 1); err != nil {
+		if _, err := bounds.SkewMax(ivs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -188,12 +188,12 @@ func TestSkewMaxUpperBoundsVertices(t *testing.T) {
 				bestVertex = g
 			}
 		}
-		res, err := SkewMax(ivs, 0.05)
+		res, err := SkewMax(ivs)
 		if err != nil {
 			return false
 		}
-		// The grid search is a heuristic; require it to come within 15%
-		// of the vertex optimum and the padded bound to cover it.
+		// The multi-start local search is a heuristic; require it to come
+		// within 15% of the vertex optimum and the padded bound to cover it.
 		return res.UpperBound >= bestVertex-0.15*math.Abs(bestVertex)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -209,7 +209,7 @@ func TestSkewMaxOutlierDominates(t *testing.T) {
 		ivs[i] = Interval{Lo: 1, Hi: 2}
 	}
 	ivs[0] = Interval{Lo: 1, Hi: 500}
-	res, err := SkewMax(ivs, 0.5)
+	res, err := SkewMax(ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +226,231 @@ func TestSkewMaxOutlierDominates(t *testing.T) {
 }
 
 func TestSkewMaxErrors(t *testing.T) {
-	if _, err := SkewMax(nil, 1); err == nil {
+	if _, err := SkewMax(nil); err == nil {
 		t.Error("empty input should error")
 	}
-	if _, err := SkewMax([]Interval{{1, 2}}, 0); err == nil {
+	if _, err := CLTMinSamples([]Interval{{1, 2}}, 0); err == nil {
 		t.Error("rho=0 should error")
 	}
-	if _, err := SkewMax([]Interval{{3, 1}}, 1); err == nil {
+	if _, err := SkewMax([]Interval{{3, 1}}); err == nil {
 		t.Error("invalid interval should error")
+	}
+}
+
+// refGridSkewMax is SkewMax as it stood with its pivot grid: for up to
+// 200,001 pivot means μ spanning [Σlo/n, Σhi/n] it picked, per interval,
+// the endpoint maximizing (v − μ)³, scored that vertex, and refined the
+// best one with the same multi-start local search. Only its input checks
+// and its count of vertices tried are left out. It pins the grid-free
+// SkewMax bit for bit, and also returns the grid's step count.
+func refGridSkewMax(ivs []Interval, rho float64) (g1, upper float64, steps int) {
+	n := len(ivs)
+	var loMean, hiMean float64
+	for _, iv := range ivs {
+		loMean += iv.Lo
+		hiMean += iv.Hi
+	}
+	loMean /= float64(n)
+	hiMean /= float64(n)
+
+	steps = int(math.Ceil((hiMean - loMean) / rho))
+	const maxSteps = 200_000
+	if steps > maxSteps {
+		steps = maxSteps
+	}
+	if steps < 1 {
+		steps = 1
+	}
+	gridRho := (hiMean - loMean) / float64(steps)
+	if gridRho <= 0 {
+		gridRho = rho
+	}
+
+	best := math.Inf(-1)
+	values := make([]float64, n)
+	bestValues := make([]float64, n)
+	for s := 0; s <= steps; s++ {
+		mu := loMean + float64(s)*gridRho
+		for i, iv := range ivs {
+			dLo, dHi := iv.Lo-mu, iv.Hi-mu
+			if dHi*dHi*dHi >= dLo*dLo*dLo {
+				values[i] = iv.Hi
+			} else {
+				values[i] = iv.Lo
+			}
+		}
+		if g := stats.FisherSkew(values); g > best {
+			best = g
+			copy(bestValues, values)
+		}
+	}
+	if math.IsInf(best, -1) {
+		best = 0
+	} else {
+		if g := refLocalSkewSearch(ivs, bestValues); g > best {
+			best = g
+		}
+		rng := stats.NewRNG(0x5eed)
+		starts := 32
+		if n > 10_000 {
+			starts = 8
+		}
+		for s := 0; s < starts; s++ {
+			for i, iv := range ivs {
+				if rng.Float64() < 0.5 {
+					values[i] = iv.Lo
+				} else {
+					values[i] = iv.Hi
+				}
+			}
+			if g := refLocalSkewSearch(ivs, values); g > best {
+				best = g
+			}
+		}
+	}
+	return best, best + math.Abs(best)*0.1, steps
+}
+
+// refLocalSkewSearch is localSkewSearch as it stood with the grid, so the
+// reference does not lean on the code under test.
+func refLocalSkewSearch(ivs []Interval, values []float64) float64 {
+	n := len(values)
+	fn := float64(n)
+	var s1, s2, s3 float64
+	for _, v := range values {
+		s1 += v
+		s2 += v * v
+		s3 += v * v * v
+	}
+	g1 := func(a, b, c float64) float64 {
+		mu := a / fn
+		m2 := b/fn - mu*mu
+		if m2 <= 0 {
+			return 0
+		}
+		m3 := c/fn - 3*mu*b/fn + 2*mu*mu*mu
+		return m3 / math.Pow(m2, 1.5)
+	}
+	best := g1(s1, s2, s3)
+	for sweep := 0; sweep < 50; sweep++ {
+		improved := false
+		for i, iv := range ivs {
+			alt := iv.Lo
+			if values[i] == iv.Lo {
+				alt = iv.Hi
+			}
+			if alt == values[i] {
+				continue
+			}
+			old := values[i]
+			na := s1 - old + alt
+			nb := s2 - old*old + alt*alt
+			nc := s3 - old*old*old + alt*alt*alt
+			if g := g1(na, nb, nc); g > best+1e-15 {
+				best = g
+				values[i] = alt
+				s1, s2, s3 = na, nb, nc
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return best
+}
+
+// skewCase draws one SkewMax input of the given shape:
+//
+//	0: small n, costs over three orders of magnitude, a third zero-width;
+//	1: a spread so wide at so fine a rho that the grid hit its step cap;
+//	2: n > 10,000 with a narrow spread (the 8-start branch);
+//	3: a few costs near 1e103–1e110, whose moments overflow to NaN.
+func skewCase(seed uint64, shape int) ([]Interval, float64) {
+	rng := stats.NewRNG(seed)
+	var n int
+	rho := 0.01 + rng.Float64()*10
+	switch shape {
+	case 0, 3:
+		n = 1 + rng.Intn(60)
+	case 1:
+		n = 2 + rng.Intn(30)
+		rho = 1e-3
+	case 2:
+		n = 10_001 + rng.Intn(2_000)
+		rho = 1
+	}
+	ivs := make([]Interval, n)
+	for i := range ivs {
+		lo := math.Pow(10, rng.Float64()*3) - 1
+		var w float64
+		switch shape {
+		case 0:
+			if rng.Float64() >= 1.0/3 {
+				w = rng.Float64() * lo
+			}
+		case 1:
+			w = rng.Float64() * 5_000
+		case 2:
+			w = rng.Float64() * 0.5
+		case 3:
+			w = rng.Float64() * lo
+			if rng.Float64() < 0.2 {
+				lo = math.Pow(10, 103+rng.Float64()*7)
+				w = 0
+			}
+		}
+		ivs[i] = Interval{Lo: lo, Hi: lo + w}
+	}
+	return ivs, rho
+}
+
+// TestSkewMaxMatchesGridReference checks that scoring the all-Hi vertex
+// once returns what the pivot grid returned, bit for bit: at every pivot
+// the grid picked the all-Hi vertex anyway.
+func TestSkewMaxMatchesGridReference(t *testing.T) {
+	same := func(ivs []Interval, rho float64) bool {
+		res, err := SkewMax(ivs)
+		if err != nil {
+			t.Errorf("SkewMax: %v", err)
+			return false
+		}
+		g1, upper, _ := refGridSkewMax(ivs, rho)
+		if math.Float64bits(res.G1) != math.Float64bits(g1) ||
+			math.Float64bits(res.UpperBound) != math.Float64bits(upper) {
+			t.Logf("n=%d rho=%v: G1 %v vs grid %v, bound %v vs grid %v",
+				len(ivs), rho, res.G1, g1, res.UpperBound, upper)
+			return false
+		}
+		return true
+	}
+	f := func(seed uint64) bool {
+		return same(skewCase(seed, int(seed%4)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+
+	// Each shape at least once, whatever seeds quick.Check drew.
+	for shape := 0; shape < 4; shape++ {
+		ivs, rho := skewCase(111, shape)
+		if !same(ivs, rho) {
+			t.Errorf("shape %d diverges from the grid reference", shape)
+		}
+		switch _, _, steps := refGridSkewMax(ivs, rho); {
+		case shape == 1 && steps != 200_000:
+			t.Errorf("shape 1 ran %d grid steps, want the 200,000 cap", steps)
+		case shape == 2 && len(ivs) <= 10_000:
+			t.Errorf("shape 2 has n = %d, want > 10,000", len(ivs))
+		}
+	}
+	// Moments overflow: the grid lost every step to −Inf and reported 0.
+	overflow := []Interval{{1, 2}, {1e110, 1e110}, {3, 4}}
+	if !same(overflow, 1) {
+		t.Error("moment overflow diverges from the grid reference")
+	}
+	if res, _ := SkewMax(overflow); res.G1 != 0 || res.UpperBound != 0 {
+		t.Errorf("moment overflow: got %+v, want zero", res)
 	}
 }
 

@@ -85,7 +85,7 @@ func CLTRequirement(n int, seed uint64) (CLTRow, error) {
 		base := math.Pow(10, rng.Float64()*3) // 1 … 1000
 		ivs[i] = bounds.Interval{Lo: base * 0.9, Hi: base * 1.1}
 	}
-	res, err := bounds.SkewMax(ivs, 0.5)
+	res, err := bounds.SkewMax(ivs)
 	if err != nil {
 		return CLTRow{}, err
 	}
