@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"physdes/internal/bounds"
 	"physdes/internal/experiments"
 	"physdes/internal/obs"
 	"physdes/internal/obs/live"
@@ -65,7 +64,6 @@ func main() {
 	var reg *obs.Registry
 	if *metrics || *listen != "" {
 		reg = obs.NewRegistry()
-		bounds.SetMetrics(reg)
 	}
 	if *listen != "" {
 		reg.Gauge("physdes_up").Set(1)

@@ -12,39 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
-	"time"
-
-	"physdes/internal/obs"
 )
-
-// metricsReg, when set, receives the σ²_max DP accounting: a per-ρ
-// latency histogram (bounds_sigma_max_dp_seconds{rho="…"}), a run counter
-// and a DP-table-size gauge. SigmaMaxDP is called a handful of times per
-// selection, so resolving handles per call is fine.
-var metricsReg atomic.Pointer[obs.Registry]
-
-// SetMetrics exports the package's DP timings on the registry; nil
-// detaches.
-func SetMetrics(r *obs.Registry) {
-	if r == nil {
-		metricsReg.Store(nil)
-		return
-	}
-	metricsReg.Store(r)
-}
-
-// observeDP records one SigmaMaxDP run.
-func observeDP(rho float64, cells int, elapsed time.Duration) {
-	r := metricsReg.Load()
-	if r == nil {
-		return
-	}
-	label := fmt.Sprintf("%g", rho)
-	r.Histogram(obs.WithLabel("bounds_sigma_max_dp_seconds", "rho", label)).Observe(elapsed.Seconds())
-	r.Counter(obs.WithLabel("bounds_sigma_max_dp_total", "rho", label)).Inc()
-	r.Gauge(obs.WithLabel("bounds_sigma_max_dp_cells", "rho", label)).Set(float64(cells))
-}
 
 // Interval bounds one query's cost: Lo ≤ Cost ≤ Hi.
 type Interval struct {
@@ -92,7 +60,6 @@ type SigmaMaxResult struct {
 // The returned slack θ = (2/n)·Σ(ρ·v_i^ρ + ρ²/4) uses the rounded upper
 // endpoints, the conservative choice.
 func SigmaMaxDP(ivs []Interval, rho float64) (SigmaMaxResult, error) {
-	sw := obs.NewStopwatch()
 	n := len(ivs)
 	if n == 0 {
 		return SigmaMaxResult{}, fmt.Errorf("bounds: no intervals")
@@ -177,7 +144,6 @@ func SigmaMaxDP(ivs []Interval, rho float64) (SigmaMaxResult, error) {
 	if best < 0 {
 		best = 0
 	}
-	observeDP(rho, int(total+1), sw.Elapsed())
 	return SigmaMaxResult{
 		Sigma2:     best,
 		Theta:      theta,

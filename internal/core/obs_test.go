@@ -126,7 +126,8 @@ func TestSelectTracedComposition(t *testing.T) {
 }
 
 // TestSelectConservativeTraced checks the derive_bounds span and the DP
-// timing metrics in conservative mode.
+// timing metrics in conservative mode, and that the metrics land only on
+// the registry of the Select that ran the DP.
 func TestSelectConservativeTraced(t *testing.T) {
 	opt, w, space := scenario(t, 200, 3, 7)
 	var buf bytes.Buffer
@@ -146,15 +147,26 @@ func TestSelectConservativeTraced(t *testing.T) {
 		t.Error("conservative mode did not emit the derive_bounds span")
 	}
 	snap := reg.Snapshot()
-	foundDP := false
-	for name := range snap.Histograms {
-		if len(name) >= len("bounds_sigma_max_dp_seconds") &&
-			name[:len("bounds_sigma_max_dp_seconds")] == "bounds_sigma_max_dp_seconds" {
-			foundDP = true
-		}
+	dpSeconds := obs.WithLabel("bounds_sigma_max_dp_seconds", "rho", "50")
+	dpTotal := obs.WithLabel("bounds_sigma_max_dp_total", "rho", "50")
+	dpCells := obs.WithLabel("bounds_sigma_max_dp_cells", "rho", "50")
+	if h, ok := snap.Histograms[dpSeconds]; !ok || h.Count != 1 {
+		t.Errorf("σ²_max DP timing not exported once; histograms: %v", snap.Histograms)
 	}
-	if !foundDP {
-		t.Errorf("σ²_max DP timing not exported; histograms: %v", snap.Histograms)
+	if got := snap.Counters[dpTotal]; got != 1 {
+		t.Errorf("%s = %d, want 1", dpTotal, got)
+	}
+	if got := snap.Gauges[dpCells]; got <= 0 {
+		t.Errorf("%s = %v, want the DP table size", dpCells, got)
+	}
+
+	// A later Select without a registry must not record into this one.
+	o.Tracer, o.Metrics = nil, nil
+	if _, err := Select(optimizerClone(opt), w, space, o); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters[dpTotal]; got != 1 {
+		t.Errorf("after a Select with no registry, %s = %d, want 1", dpTotal, got)
 	}
 }
 
