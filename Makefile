@@ -74,7 +74,7 @@ experiments-paper:
 # point under the measured baseline, so genuinely new untested code fails
 # the gate while normal churn does not. Raise the floor when coverage
 # grows; never lower it to make a PR pass.
-COVER_FLOOR ?= 81.0
+COVER_FLOOR ?= 81.9
 COVER_DIR ?= build
 cover:
 	@mkdir -p $(COVER_DIR)

@@ -119,6 +119,16 @@ func TestSelectConservativeMode(t *testing.T) {
 	}
 }
 
+func TestSelectConservativeRejectsNegativeRho(t *testing.T) {
+	opt, w, space := scenario(t, 200, 2, 4)
+	o := DefaultOptions(13)
+	o.Conservative = true
+	o.Rho = -1
+	if _, err := Select(opt, w, space, o); err == nil {
+		t.Error("a conservative Select with a negative rho must fail")
+	}
+}
+
 func TestSelectTraced(t *testing.T) {
 	opt, w, space := scenario(t, 300, 2, 5)
 	sel, err := SelectTraced(opt, w, space, DefaultOptions(17))
