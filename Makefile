@@ -7,10 +7,10 @@ GO ?= go
 all: build vet lint test
 
 # Full pre-commit gate: build, vet, the determinism/concurrency lint
-# suite, and the race detector over every package — the batch pool,
-# sharded cache and instrumentation are all concurrent, so plain
-# `go test` alone is not a sufficient gate.
-check: build vet lint test-race
+# suite over the module and over itself, and the race detector over
+# every package — the batch pool, sharded cache and instrumentation are
+# all concurrent, so plain `go test` alone is not a sufficient gate.
+check: build vet lint lint-self test-race
 
 build:
 	$(GO) build ./...
@@ -18,15 +18,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Custom go/analysis-style suite — five intraprocedural analyzers
-# (norandglobal, nomaprange, nowallclock, lockcheck, tracenames) plus
-# four interprocedural ones on the flow call graph (ctxflow, errdrop,
-# determtaint, zeroalloc): machine-enforces the seed-reproducibility,
-# cancellation, error-handling and zero-alloc invariants behind
-# Pr(CS) ≥ α and bit-identical parallelism. The suite type-checks
-# against GOROOT source and fails fast with an actionable error if the
-# toolchain install has no stdlib sources. lint-self turns the suite on
-# itself (internal/analysis/...).
+# Custom go/analysis-style suite — two intraprocedural analyzers
+# (lockcheck, tracenames) plus four on the flow call graph (ctxflow,
+# errdrop, determtaint, zeroalloc): machine-enforces the
+# seed-reproducibility, cancellation, error-handling and zero-alloc
+# invariants behind Pr(CS) ≥ α and bit-identical parallelism. The suite
+# type-checks against GOROOT source and fails fast with an actionable
+# error if the toolchain install has no stdlib sources. lint-self turns
+# the suite on itself (internal/analysis/...).
 lint:
 	$(GO) run ./cmd/physdeslint ./...
 

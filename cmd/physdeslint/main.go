@@ -6,11 +6,12 @@
 //
 // Usage:
 //
-//	physdeslint [-list] [-design FILE] [patterns...]
+//	physdeslint [-list] [-self] [patterns...]
 //
 // With no patterns (or "./...") every module package is checked;
 // otherwise packages whose import path contains any pattern as a
-// substring are checked.
+// substring are checked. -self adds the pattern internal/analysis, so
+// the suite checks its own implementation.
 package main
 
 import (
@@ -25,24 +26,18 @@ import (
 	"physdes/internal/analysis/determtaint"
 	"physdes/internal/analysis/errdrop"
 	"physdes/internal/analysis/lockcheck"
-	"physdes/internal/analysis/nomaprange"
-	"physdes/internal/analysis/norandglobal"
-	"physdes/internal/analysis/nowallclock"
 	"physdes/internal/analysis/tracenames"
 	"physdes/internal/analysis/zeroalloc"
 )
 
 // Suite is every analyzer the gate runs, in diagnostic-prefix order:
-// the five intraprocedural analyzers of PR 3 plus the four
-// interprocedural ones built on the flow call graph.
+// lockcheck and tracenames look at one function at a time; ctxflow,
+// determtaint, errdrop and zeroalloc read the flow call graph.
 var Suite = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	determtaint.Analyzer,
 	errdrop.Analyzer,
 	lockcheck.Analyzer,
-	nomaprange.Analyzer,
-	norandglobal.Analyzer,
-	nowallclock.Analyzer,
 	tracenames.Analyzer,
 	zeroalloc.Analyzer,
 }

@@ -29,8 +29,7 @@ type Analyzer struct {
 	Doc string
 	// AppliesTo reports whether the analyzer is meaningful for the
 	// package with the given import path. A nil AppliesTo means every
-	// package. The driver consults it; test harnesses run the analyzer
-	// unconditionally so fixtures need not mimic real import paths.
+	// package. The driver consults it; the fixture harness does not.
 	// Test variants of a package are matched by their base import path.
 	AppliesTo func(pkgPath string) bool
 	// IncludeTests extends the check to _test.go files. Most analyzers
@@ -202,15 +201,4 @@ func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 	}
 	pn, ok := info.Uses[id].(*types.PkgName)
 	return ok && pn.Imported().Path() == pkgPath
-}
-
-// PkgQualifier returns the *types.PkgName a selector's qualifier resolves
-// to, or nil if the expression is not a plain package-qualified selector.
-func PkgQualifier(info *types.Info, sel *ast.SelectorExpr) *types.PkgName {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	pn, _ := info.Uses[id].(*types.PkgName)
-	return pn
 }

@@ -31,9 +31,11 @@ var wantRE = regexp.MustCompile(`//\s*want((?:\s+"(?:[^"\\]|\\.)*")+)\s*$`)
 var quotedRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
 // Run applies a to the fixture package in dir (conventionally
-// "testdata/src/<name>", relative to the test's working directory) and
-// reports mismatches on t. AppliesTo is deliberately not consulted, so
-// fixtures need not mimic real module import paths.
+// "testdata/src/<path>", relative to the test's working directory) and
+// reports mismatches on t. As in x/tools, the fixture's import path is
+// its directory below testdata/src, so a fixture under
+// testdata/src/internal/sampling exercises the rules an analyzer scopes
+// to internal/sampling. AppliesTo is not consulted.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -49,8 +51,11 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 		Importer: importer.ForCompiler(fset, "source", nil),
 		Error:    func(error) {},
 	}
-	pkgName := files[0].Name.Name
-	tpkg, err := conf.Check(pkgName, fset, files, info)
+	path := filepath.ToSlash(dir)
+	if i := strings.LastIndex(path, "testdata/src/"); i >= 0 {
+		path = path[i+len("testdata/src/"):]
+	}
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}

@@ -3,26 +3,65 @@ package determtaint_test
 import (
 	"testing"
 
+	"physdes/internal/analysis"
 	"physdes/internal/analysis/analysistest"
 	"physdes/internal/analysis/determtaint"
 )
 
+// Each fixture's import path is its directory below testdata/src, so it
+// runs under the real scope of that package.
+
+// TestDetermTaint: tainted values reaching sinks in a result-affecting
+// package, where every source rule applies too.
 func TestDetermTaint(t *testing.T) {
-	analysistest.Run(t, determtaint.Analyzer, "testdata/src/a")
+	analysistest.Run(t, determtaint.Analyzer, "testdata/src/internal/sampling")
 }
 
+// TestNoMapRange: map-range sources in a result-affecting package.
+func TestNoMapRange(t *testing.T) {
+	analysistest.Run(t, determtaint.Analyzer, "testdata/src/internal/core")
+}
+
+// TestNoRandGlobal: global and fixed-seed math/rand in internal/obs,
+// which is exempt from the clock rule only.
+func TestNoRandGlobal(t *testing.T) {
+	analysistest.Run(t, determtaint.Analyzer, "testdata/src/internal/obs")
+}
+
+// TestNoWallClock: clock reads in a library package outside obs that
+// is not result-affecting.
+func TestNoWallClock(t *testing.T) {
+	analysistest.Run(t, determtaint.Analyzer, "testdata/src/internal/workload")
+}
+
+// TestAppliesTo pins the scope of each determtaint rule by import path:
+// map ranges and taint sinks in the result-affecting packages, math/rand
+// in every library package (the analyzer's own AppliesTo), clock reads
+// in every library package but internal/obs.
 func TestAppliesTo(t *testing.T) {
-	for path, want := range map[string]bool{
-		"physdes/internal/sampling":  true,
-		"physdes/internal/core":      true,
-		"physdes/internal/bounds":    true,
-		"physdes/internal/tuner":     true,
-		"physdes/internal/optimizer": true,
-		"physdes/internal/workload":  false, // helpers here taint callers, not themselves
-		"physdes/internal/obs":       false,
+	for _, tc := range []struct {
+		path                     string
+		mapsAndTaint, rng, clock bool
+	}{
+		{"physdes/internal/sampling", true, true, true},
+		{"physdes/internal/core", true, true, true},
+		{"physdes/internal/bounds", true, true, true},
+		{"physdes/internal/tuner", true, true, true},
+		{"physdes/internal/optimizer", true, true, true},
+		{"physdes/internal/workload", false, true, true}, // helpers here taint callers, not themselves
+		{"physdes/internal/score", false, true, true},    // suffix must respect segment boundaries
+		{"physdes/internal/obs", false, true, false},     // the clock belongs here; snapshots sort before writing
+		{"physdes", false, true, true},
+		{"physdes/cmd/physdes", false, false, false}, // binaries read clocks and seed from flags
+		{"physdes/cmd/benchrunner", false, false, false},
+		{"physdes/examples/quickstart", false, false, false},
 	} {
-		if got := determtaint.Analyzer.AppliesTo(path); got != want {
-			t.Errorf("AppliesTo(%q) = %v, want %v", path, got, want)
+		maps := analysis.IsResultAffecting(tc.path)
+		rng := determtaint.Analyzer.AppliesTo(tc.path)
+		clock := analysis.IsLibraryOutsideObs(tc.path)
+		if maps != tc.mapsAndTaint || rng != tc.rng || clock != tc.clock {
+			t.Errorf("%s: maps/taint, rand, clock = %v, %v, %v; want %v, %v, %v",
+				tc.path, maps, rng, clock, tc.mapsAndTaint, tc.rng, tc.clock)
 		}
 	}
 }

@@ -9,7 +9,7 @@ func sums(m map[string]float64) float64 {
 	for _, v := range m { // want "range over map m"
 		s += v
 	}
-	return s
+	return s // want "tainted by map iteration order"
 }
 
 // sorted is the sanctioned rewrite: collect keys (annotated — appends

@@ -1,3 +1,6 @@
+// Package a sits at internal/obs: a library package, so the math/rand
+// rules apply, but exempt from the clock rule, so clockSeed reports only
+// its seed.
 package a
 
 import (
@@ -14,6 +17,16 @@ func globals() int {
 
 func constSeed() *rand.Rand {
 	return rand.New(rand.NewSource(42)) // want "constant seed 42"
+}
+
+// A constant seed is caught by value, not by literal syntax.
+func negativeSeed() *rand.Rand {
+	return rand.New(rand.NewSource(-42)) // want "constant seed -42"
+}
+
+func namedConstSeed() *rand.Rand {
+	const s = 7
+	return rand.New(rand.NewSource(s)) // want "constant seed 7"
 }
 
 func clockSeed() *rand.Rand {

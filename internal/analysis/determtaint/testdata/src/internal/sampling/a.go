@@ -1,3 +1,5 @@
+// Package a sits at internal/sampling, a result-affecting package, so
+// every source rule applies here as well as the taint sinks.
 package a
 
 import (
@@ -15,16 +17,16 @@ func (t *Tracer) Emit(name string, args ...any) {}
 // mapOrderSum returns a float accumulated in map iteration order.
 func mapOrderSum(m map[string]float64) float64 {
 	var s float64
-	for _, v := range m {
+	for _, v := range m { // want "range over map m"
 		s += v
 	}
 	return s // want "tainted by map iteration order"
 }
 
-// helper produces a wall-clock value in a package the source analyzers
+// helper produces a wall-clock value in a package the source rules
 // might not cover; its TaintedReturn summary carries the taint up.
 func helper() int64 {
-	t := time.Now()
+	t := time.Now()     // want "wall clock read time.Now"
 	return t.UnixNano() // want "tainted by wall clock"
 }
 
@@ -37,8 +39,8 @@ func viaCallee() int64 {
 
 // rng returns a draw from the globally shared source.
 func rng() int {
-	n := rand.Int()
-	return n // want "tainted by global RNG"
+	n := rand.Int() // want "global math/rand.Int"
+	return n        // want "tainted by global RNG"
 }
 
 // seededDraw uses an injected source: deterministic, no finding.
@@ -57,7 +59,7 @@ func cacheKey(cache map[int64]float64) float64 {
 // traceSink emits a tainted payload field.
 func traceSink(tr *Tracer, m map[string]int) {
 	n := 0
-	for _, v := range m {
+	for _, v := range m { // want "range over map m"
 		n += v
 	}
 	tr.Emit("round", n) // want "trace event payload is tainted"
@@ -82,7 +84,7 @@ func sortedKeys(m map[string]float64) float64 {
 // annotatedNondet carries a justification at the sink.
 func annotatedNondet(m map[string]int) string {
 	first := ""
-	for k := range m {
+	for k := range m { // want "range over map m"
 		if first == "" || k < first {
 			first = k
 		}
@@ -94,7 +96,7 @@ func annotatedNondet(m map[string]int) string {
 // missingReason: a suppression without a justification is a finding.
 func missingReason(m map[string]int) string {
 	last := ""
-	for k := range m {
+	for k := range m { // want "range over map m"
 		last = k
 	}
 	//physdes:nondetok

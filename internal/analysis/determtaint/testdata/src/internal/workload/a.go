@@ -1,3 +1,6 @@
+// Package a sits at internal/workload: a library package outside obs,
+// so the clock rule applies, but not result-affecting, so returning a
+// clock reading is not a taint finding.
 package a
 
 import "time"

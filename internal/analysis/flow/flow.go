@@ -5,8 +5,8 @@
 // dataflow/taint engine over the AST+types information the loader
 // already produces.
 //
-// The intraprocedural analyzers of PR 3 check one function at a time;
-// the invariants they guard (seed-reproducibility, cancellation
+// An intraprocedural check looks at one function at a time; the
+// invariants the suite guards (seed-reproducibility, cancellation
 // threading, never dropping oracle errors, zero-alloc hot paths) are
 // properties of call *chains*. This package computes the chain-level
 // facts once per driver run — cached in analysis.Shared — and the

@@ -8,31 +8,95 @@ import (
 	"physdes/internal/analysis"
 )
 
-// OrderInsensitiveMarker mirrors nomaprange's suppression: a map range
-// annotated order-insensitive does not seed map-order taint.
+// OrderInsensitiveMarker suppresses a map-range source: a map range
+// annotated order-insensitive is neither reported nor seeds map-order
+// taint.
 const OrderInsensitiveMarker = "orderinsensitive"
+
+// Source is the kind of nondeterminism a package-level function brings
+// into a program.
+type Source int
+
+const (
+	NoSource Source = iota
+	// WallClock is time.Now, time.Since or time.Until.
+	WallClock
+	// GlobalRand is a math/rand draw from the shared, racily-advanced
+	// global source.
+	GlobalRand
+	// SeedCtor is a math/rand constructor whose arguments are the seed
+	// itself, so a constant or wall-clock argument detaches the result
+	// from the injected seed.
+	SeedCtor
+)
+
+// randCtors are the math/rand functions that take an explicit source or
+// seed, mapped to whether their arguments are the seed; every other
+// package-level math/rand function draws from the global source.
+var randCtors = map[string]bool{
+	"New": false, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": false,
+}
+
+// SourceOf is the suite's one recognizer of nondeterminism sources: it
+// classifies the function an identifier, or the selector of a qualified
+// one, refers to. It resolves the name to its *types.Func, so a renamed
+// or dot import and a function taken as a value all match, while a
+// shadowing local variable or a method (such as Intn on an injected
+// *rand.Rand) does not.
+func SourceOf(info *types.Info, e ast.Expr) (Source, *types.Func) {
+	e = ast.Unparen(e)
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	id, _ := e.(*ast.Ident)
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return NoSource, nil
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
+			return WallClock, fn
+		}
+	case "math/rand", "math/rand/v2":
+		seeded, ctor := randCtors[fn.Name()]
+		if !ctor {
+			return GlobalRand, fn
+		}
+		if seeded {
+			return SeedCtor, fn
+		}
+	}
+	return NoSource, nil
+}
+
+// IsMap reports whether e is a map. Ranging over one iterates in an
+// order Go randomizes per loop.
+func IsMap(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
+}
 
 // TaintConfig selects the seed set of a propagation run.
 type TaintConfig struct {
-	// WallClock seeds time.Now/Since/Until call results.
-	WallClock bool
-	// GlobalRand seeds results of global math/rand draws (the shared,
-	// racily-advanced source norandglobal forbids in libraries).
-	GlobalRand bool
-	// MapOrder seeds the iteration variables of unannotated map ranges.
-	MapOrder bool
-	// CalleeSummaries seeds results of calls to module functions whose
-	// TaintedReturn summary is set — the interprocedural edge.
-	CalleeSummaries bool
-	// SeedObjs pre-taints specific objects (ctxflow seeds the context
-	// parameters this way to compute "derived from the caller's ctx").
+	// Nondet seeds every nondeterminism source: uses of wall-clock and
+	// global math/rand functions (called or taken as values), the
+	// iteration variables of unannotated map ranges, and results of calls
+	// to module functions whose TaintedReturn summary is set — the
+	// interprocedural edge.
+	Nondet bool
+	// SeedObjs pre-taints specific objects.
 	SeedObjs map[types.Object]string
 }
 
 // DetermConfig is the nondeterminism seed set used both by the
 // determtaint analyzer and by the TaintedReturn summary fixpoint.
 func DetermConfig() TaintConfig {
-	return TaintConfig{WallClock: true, GlobalRand: true, MapOrder: true, CalleeSummaries: true}
+	return TaintConfig{Nondet: true}
 }
 
 // Taint is the result of one forward propagation over a function body:
@@ -59,12 +123,6 @@ func (ix *Index) Propagate(fi *FuncInfo, cfg TaintConfig) *Taint {
 	for tt.pass() {
 	}
 	return tt
-}
-
-// Tainted reports whether the expression's value derives from a seed,
-// and names the source.
-func (tt *Taint) Tainted(e ast.Expr) (string, bool) {
-	return tt.exprTainted(e)
 }
 
 // TaintedObj reports whether the object is tainted.
@@ -94,7 +152,7 @@ func (tt *Taint) pass() bool {
 		case *ast.AssignStmt:
 			if len(n.Lhs) == len(n.Rhs) {
 				for i, rhs := range n.Rhs {
-					if reason, ok := tt.exprTainted(rhs); ok {
+					if reason, ok := tt.Tainted(rhs); ok {
 						if id, ok := n.Lhs[i].(*ast.Ident); ok {
 							mark(id, reason)
 						}
@@ -104,7 +162,7 @@ func (tt *Taint) pass() bool {
 			}
 			// Tuple assignment: one tainted source taints every target.
 			for _, rhs := range n.Rhs {
-				if reason, ok := tt.exprTainted(rhs); ok {
+				if reason, ok := tt.Tainted(rhs); ok {
 					for _, lhs := range n.Lhs {
 						if id, ok := lhs.(*ast.Ident); ok {
 							mark(id, reason)
@@ -120,7 +178,7 @@ func (tt *Taint) pass() bool {
 					continue
 				}
 				for _, v := range vs.Values {
-					if reason, ok := tt.exprTainted(v); ok {
+					if reason, ok := tt.Tainted(v); ok {
 						for _, id := range vs.Names {
 							mark(id, reason)
 						}
@@ -131,11 +189,11 @@ func (tt *Taint) pass() bool {
 		case *ast.RangeStmt:
 			keyID, _ := n.Key.(*ast.Ident)
 			valID, _ := n.Value.(*ast.Ident)
-			if tt.cfg.MapOrder && tt.isUnannotatedMapRange(n) {
+			if tt.cfg.Nondet && tt.isUnannotatedMapRange(n) {
 				mark(keyID, "map iteration order")
 				mark(valID, "map iteration order")
 			}
-			if reason, ok := tt.exprTainted(n.X); ok {
+			if reason, ok := tt.Tainted(n.X); ok {
 				mark(keyID, reason)
 				mark(valID, reason)
 			}
@@ -148,80 +206,52 @@ func (tt *Taint) pass() bool {
 // isUnannotatedMapRange reports a range over a map value without an
 // //physdes:orderinsensitive suppression.
 func (tt *Taint) isUnannotatedMapRange(rs *ast.RangeStmt) bool {
-	tv, ok := tt.fi.Pkg.Info.Types[rs.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+	if !IsMap(tt.fi.Pkg.Info, rs.X) {
 		return false
 	}
 	_, annotated := analysis.Annotated(tt.ix.Annotations(tt.fi.File, OrderInsensitiveMarker), tt.ix.Fset, rs.Pos())
 	return !annotated
 }
 
-// exprTainted reports whether e contains a seed call or a use of a
-// tainted object. Function literals are separate frames and are not
-// descended into.
-func (tt *Taint) exprTainted(e ast.Expr) (string, bool) {
+// Tainted reports whether the expression's value derives from a seed,
+// and names the source: e contains a source, a call of a tainted callee
+// or a use of a tainted object. Function literals are separate frames
+// and are not descended into.
+func (tt *Taint) Tainted(e ast.Expr) (string, bool) {
 	var reason string
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
+		if _, lit := n.(*ast.FuncLit); found || lit {
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.Ident:
-			if obj := tt.objOf(n); obj != nil {
-				if r, ok := tt.objs[obj]; ok {
-					reason, found = r, true
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			if r, ok := tt.callSeed(n); ok {
-				reason, found = r, true
+		if id, ok := n.(*ast.Ident); ok {
+			if reason, found = tt.objs[tt.objOf(id)]; found {
 				return false
 			}
 		}
-		return true
+		reason, found = tt.seed(n)
+		return !found
 	})
 	return reason, found
 }
 
-// randGlobals are the math/rand package-level draws backed by the
-// shared source; constructors taking an explicit source or seed are
-// deterministic under injection and do not seed taint.
-var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
-}
-
-// callSeed reports whether the call itself is a taint source under the
-// run's config.
-func (tt *Taint) callSeed(call *ast.CallExpr) (string, bool) {
-	info := tt.fi.Pkg.Info
-	if tt.cfg.WallClock {
-		for _, name := range []string{"Now", "Since", "Until"} {
-			if analysis.IsPkgCall(info, call, "time", name) {
-				return "wall clock (time." + name + ")", true
-			}
-		}
+// seed reports whether n is a seed under the run's config: a source
+// function, or a call of a module function whose TaintedReturn summary
+// is set.
+func (tt *Taint) seed(n ast.Node) (string, bool) {
+	if !tt.cfg.Nondet {
+		return "", false
 	}
-	if tt.cfg.GlobalRand {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if pn := analysis.PkgQualifier(info, sel); pn != nil {
-				path := pn.Imported().Path()
-				if (path == "math/rand" || path == "math/rand/v2") && !randConstructors[sel.Sel.Name] {
-					if _, isFunc := info.Uses[sel.Sel].(*types.Func); isFunc {
-						return "global RNG (" + path + "." + sel.Sel.Name + ")", true
-					}
-				}
-			}
+	switch n := n.(type) {
+	case *ast.Ident:
+		switch src, fn := SourceOf(tt.fi.Pkg.Info, n); src {
+		case WallClock:
+			return "wall clock (time." + fn.Name() + ")", true
+		case GlobalRand:
+			return "global RNG (" + fn.Pkg().Path() + "." + fn.Name() + ")", true
 		}
-	}
-	if tt.cfg.CalleeSummaries {
-		if fi := tt.ix.Lookup(StaticCallee(info, call)); fi != nil && fi.TaintedReturn {
+	case *ast.CallExpr:
+		if fi := tt.ix.Lookup(StaticCallee(tt.fi.Pkg.Info, n)); fi != nil && fi.TaintedReturn {
 			return fi.Obj.Name() + " (returns " + fi.TaintReason + ")", true
 		}
 	}
@@ -282,7 +312,7 @@ func (tt *Taint) taintedReturn() (reason string, pos token.Pos, found bool) {
 			return false
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
-				if r, ok := tt.exprTainted(res); ok {
+				if r, ok := tt.Tainted(res); ok {
 					reason, pos, found = r, n.Pos(), true
 					return false
 				}

@@ -9,6 +9,9 @@ import (
 	"strings"
 )
 
+// The package scopes of the suite's rules, by import path. Every
+// analyzer and every rule inside one reads its scope from here.
+
 // IsLibraryPackage reports whether pkgPath is a library package — i.e.
 // not a main binary under cmd/ or examples/. Binaries may read wall
 // clocks and seed RNGs from flags; libraries must not.
@@ -21,10 +24,42 @@ func IsLibraryPackage(pkgPath string) bool {
 	return true
 }
 
-// HasPathSuffix reports whether pkgPath ends with the given slash-
+// IsLibraryOutsideObs reports whether pkgPath is a library package other
+// than internal/obs. The observability layer owns the wall clock (it
+// exists to timestamp and time things) and handles caller-provided
+// trace and metric names generically.
+func IsLibraryOutsideObs(pkgPath string) bool {
+	return IsLibraryPackage(pkgPath) && !hasPathSuffix(pkgPath, "internal/obs")
+}
+
+// resultAffecting lists the package-path suffixes whose outputs are part
+// of the determinism contract.
+var resultAffecting = []string{
+	"internal/sampling",
+	"internal/core",
+	"internal/bounds",
+	"internal/tuner",
+	"internal/optimizer",
+}
+
+// IsResultAffecting reports whether pkgPath is one of the packages whose
+// outputs are part of the determinism contract. Other packages may range
+// maps freely (obs snapshots sort before writing), and helpers elsewhere
+// may produce nondeterministic values: those only matter once they flow
+// into one of these packages' results.
+func IsResultAffecting(pkgPath string) bool {
+	for _, s := range resultAffecting {
+		if hasPathSuffix(pkgPath, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPathSuffix reports whether pkgPath ends with the given slash-
 // separated suffix on a segment boundary, so "internal/core" matches
 // "physdes/internal/core" but not "physdes/internal/score".
-func HasPathSuffix(pkgPath, suffix string) bool {
+func hasPathSuffix(pkgPath, suffix string) bool {
 	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
 }
 
@@ -53,27 +88,4 @@ func NamedReceiver(info *types.Info, sel *ast.SelectorExpr) *types.Named {
 		return n
 	}
 	return nil
-}
-
-// CallsWallClock reports whether the expression tree contains a call to
-// time.Now, time.Since or time.Until.
-func CallsWallClock(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, name := range []string{"Now", "Since", "Until"} {
-			if IsPkgCall(info, call, "time", name) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

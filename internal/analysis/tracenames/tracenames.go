@@ -27,12 +27,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "tracenames",
 	Doc:  "verify tracer event and metric names against the DESIGN §5a schema table",
-	AppliesTo: func(pkgPath string) bool {
-		// internal/obs is the machinery itself: it handles caller-
-		// provided names generically and emits none of its own.
-		return analysis.IsLibraryPackage(pkgPath) && !analysis.HasPathSuffix(pkgPath, "internal/obs")
-	},
-	Run: run,
+	// internal/obs is the machinery itself: it handles caller-provided
+	// names generically and emits none of its own.
+	AppliesTo: analysis.IsLibraryOutsideObs,
+	Run:       run,
 }
 
 // Schema is the allowed name sets, normally parsed from DESIGN.md.

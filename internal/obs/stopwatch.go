@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // Stopwatch is the sanctioned way for library packages to time an
-// operation for metrics. The nowallclock analyzer confines time.Now /
+// operation for metrics. The determtaint clock rule confines time.Now /
 // time.Since to this package precisely so that a wall-clock reading can
 // never leak into an estimate: durations measured here flow only into
 // histograms and trace events, and the zero Stopwatch (from the
